@@ -38,7 +38,8 @@ from repro.engine.cube import CubeCells
 #: v2 (additive): ``latency_seconds`` gained ``p99``; ``bench query``
 #: gained ``clients``/``throughput_qps``; new ``bench serving`` document.
 #: v3 (additive): ``bench cube`` gained per-stage ``execution`` audit
-#: records and the ``speedup_gate`` block; ``bench query`` gained the
+#: records and a ``speedup_gate`` block (no longer emitted: the ratio
+#: is recorded, not gated); ``bench query`` gained the
 #: ``batch`` section (``--batch``). Every earlier field keeps its name.
 #: v4 (additive): ``bench serving`` phase ``breaker`` blocks gained
 #: per-phase deltas (``phase_opens``/``phase_rejected`` — the cumulative
@@ -169,36 +170,6 @@ def _execution_audit(report) -> Dict[str, Optional[Dict[str, object]]]:
     return out
 
 
-def _speedup_gate(workers: int) -> Dict[str, object]:
-    """Whether ``check_cube_doc`` should enforce ``speedup_vs_serial > 1``.
-
-    A 1-core runner cannot show wall-clock speedup from process
-    parallelism, so the gate is recorded as not-enforced there (the
-    invariant-digest gate stays unconditional). CI pins the bench-smoke
-    job to a multi-core runner precisely so this gate is live somewhere.
-    """
-    import multiprocessing
-
-    cpu_count = multiprocessing.cpu_count()
-    if workers < 2:
-        return {
-            "enforced": False,
-            "cpu_count": cpu_count,
-            "reason": f"workers={workers} < 2: no parallel run to gate",
-        }
-    if cpu_count < 2:
-        return {
-            "enforced": False,
-            "cpu_count": cpu_count,
-            "reason": f"cpu_count={cpu_count} < 2: speedup unobservable on this machine",
-        }
-    return {
-        "enforced": True,
-        "cpu_count": cpu_count,
-        "reason": f"cpu_count={cpu_count} >= 2 and workers={workers} >= 2",
-    }
-
-
 def bench_cube(
     settings: Optional[BenchSettings] = None,
     workers: int = 4,
@@ -241,7 +212,6 @@ def bench_cube(
         },
         "speedup_vs_serial": serial_wall / parallel_wall if parallel_wall > 0 else 0.0,
         "digests_equal": serial_inv["content_digest"] == parallel_inv["content_digest"],
-        "speedup_gate": _speedup_gate(workers),
     }
 
 
@@ -429,9 +399,9 @@ def bench_serving(
     single-shard cluster as the baseline, an N-shard cluster for the
     scaling phase, then a chaos phase that SIGKILLs one worker mid-load
     and a recovery record proving the supervisor restarted it back to
-    CERTIFIED answers. The ≥1.5x scaling gate follows the
-    ``speedup_gate`` convention: recorded but not enforced on <2-core
-    machines (process parallelism cannot show wall-clock speedup there).
+    CERTIFIED answers. The ≥1.5x scaling gate is skipped with a reason
+    on <2-core machines: recorded but not enforced (process parallelism
+    cannot show wall-clock speedup there).
 
     With ``workload="viewport"`` the same two phases run over a
     zoom-level-aware viewport session workload — every request carries a
@@ -935,7 +905,7 @@ def _await_recovery(
 
 
 def _scaling_gate(shards: int) -> Dict[str, object]:
-    """``speedup_gate`` convention for the sharded tier (≥1.5x over 1 shard)."""
+    """Skip-with-reason gate for the sharded tier (≥1.5x over 1 shard)."""
     import multiprocessing
 
     cpu_count = multiprocessing.cpu_count()
@@ -997,12 +967,8 @@ def check_cube_doc(doc: Dict[str, object]) -> List[str]:
                 f"parallel {stage}: pool fan-out silently degraded to inline "
                 f"({execution.get('fallback_reason', 'unknown reason')})"
             )
-    gate = doc.get("speedup_gate", {})
-    if gate.get("enforced") and doc.get("speedup_vs_serial", 0.0) <= 1.0:
-        failures.append(
-            f"speedup_vs_serial={doc.get('speedup_vs_serial'):.3f} <= 1.0 on a "
-            f"{gate.get('cpu_count')}-core machine — parallel build is a regression"
-        )
+    # ``speedup_vs_serial`` is recorded, not gated: below the pool
+    # start-up crossover it depends on the machine, not on the code.
     return failures
 
 

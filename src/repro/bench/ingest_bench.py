@@ -10,8 +10,8 @@ three kinds of facts:
 - **throughput trajectory** — durable rows/second, applied catch-up
   time, and query latency under ingest vs an idle baseline. Timings
   drift with hardware and are never gated (except the coarse
-  ``latency_gate``, which follows the ``speedup_gate`` skip-with-reason
-  convention);
+  ``latency_gate``, which is skipped with a reason where the machine
+  cannot show it);
 - **accounting invariants** — every offered submission disposed exactly
   once (accepted / backpressured / rejected-closed), zero untyped
   failures on either the writer or the query side, the queue bound
@@ -56,7 +56,7 @@ def _latency_gate(query_clients: int) -> Dict[str, object]:
     turn scheduler jitter into failures). On a <4-core machine the
     writer, maintainer and query threads contend for the same cores and
     the ratio measures the scheduler, not the pipeline — recorded but
-    not enforced there, mirroring ``speedup_gate``.
+    not enforced there.
     """
     import multiprocessing
 

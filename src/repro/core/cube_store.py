@@ -111,56 +111,6 @@ class SamplingCubeStore:
         """Whether the cell's population is non-empty in the raw table."""
         return cell in self._known_cells
 
-    def resolve_many(
-        self,
-        cells: Sequence[CellKey],
-        geometry: Optional[spatial.Geometry] = None,
-    ) -> List[Tuple[str, Optional[Table]]]:
-        """Classify a batch of cells in one pass under the swap lock.
-
-        Returns, per cell, ``(kind, sample)`` where ``kind`` is one of
-        ``"local"`` (sample attached), ``"stale"`` (pointer resolved but
-        the sample bytes are gone — the caller's per-query retry/degrade
-        protocol owns that case), ``"degraded"``, ``"global"`` (known
-        non-iceberg cell) or ``"empty"`` (unknown cell).
-
-        With a ``geometry``, local samples come back spatially filtered
-        (index-backed) *inside the same lock pass*: ``"local"`` means
-        the geometry retained every sample row (θ-certificate intact),
-        ``"local_filtered"`` a strict subset (the caller downgrades).
-        Non-local kinds are unchanged — the caller filters the global
-        sample once per batch, not once per cell.
-
-        Because every store mutation takes the swap lock and this reads
-        the whole batch under it, a batch observes one consistent store
-        state: concurrent maintenance can never interleave a pointer
-        swap *inside* a batch the way it can between two sequential
-        lookups. That single acquisition — instead of two per query —
-        is also the point: it is what makes the batched query path cheap.
-        """
-        with self._swap_lock:
-            out: List[Tuple[str, Optional[Table]]] = []
-            for cell in cells:
-                sample_id = self._cell_to_sample_id.get(cell)
-                if sample_id is not None:
-                    sample = self._samples.get(sample_id)
-                    if sample is None:
-                        out.append(("stale", None))
-                    elif geometry is None:
-                        out.append(("local", sample))
-                    else:
-                        filtered, covers = spatial.filter_table(
-                            sample, geometry, index=self._spatial.get(sample_id)
-                        )
-                        out.append(("local" if covers else "local_filtered", filtered))
-                elif cell in self._degraded_cells:
-                    out.append(("degraded", None))
-                elif cell in self._known_cells:
-                    out.append(("global", None))
-                else:
-                    out.append(("empty", None))
-            return out
-
     # ------------------------------------------------------------------
     # Spatial indexes (viewport queries)
     # ------------------------------------------------------------------
@@ -252,7 +202,6 @@ class SamplingCubeStore:
         sample: Table,
         geometry: spatial.Geometry,
         sample_id: Optional[int] = None,
-        use_global: bool = False,
     ) -> Tuple[Table, bool]:
         """``(filtered, covers_all)`` for one sample, index-backed.
 
@@ -260,9 +209,7 @@ class SamplingCubeStore:
         a missing or racing index entry falls back to the exact oracle
         scan inside :func:`repro.core.spatial.filter_table`.
         """
-        index = self._global_spatial if use_global else (
-            self._spatial.get(sample_id) if sample_id is not None else None
-        )
+        index = self._spatial.get(sample_id) if sample_id is not None else None
         return spatial.filter_table(sample, geometry, index=index)
 
     @guarded_by("_swap_lock")

@@ -234,6 +234,25 @@ _SPATIAL_DETAIL = (
 )
 
 
+@dataclass
+class _Descent:
+    """One degraded cell's trip down the fallback ladder: what every
+    rung needs, and what the rungs that could not answer leave behind."""
+
+    cell: CellKey
+    started: float
+    reason: str
+    deadline: Optional[Deadline]
+    raw_policy: object
+    geometry: Optional[spatial.Geometry]
+    notes: List[str] = field(default_factory=list)
+    raw_blocked: bool = False
+    deadline_cut: bool = False
+
+    def detail(self, lead: str) -> str:
+        return "; ".join([f"{lead}: {self.reason}", *self.notes])
+
+
 def _cartesian_queries(sets: Mapping[str, list]):
     """Expand ``{attr: [values]}`` into one equality query per cube cell."""
     from itertools import product
@@ -561,10 +580,7 @@ class Tabula:
                 could answer within it.
         """
         store = self._require_store()
-        geom: Optional[spatial.Geometry] = None
-        if geometry is not None:
-            geom = spatial.parse_geometry(geometry)
-            self._require_spatial()
+        geom = self._parse_viewport(geometry) if geometry is not None else None
         if isinstance(where, Predicate):
             flattened = conjunction_to_equalities(where)
             if flattened is None:
@@ -605,28 +621,7 @@ class Tabula:
                 sample_id = refreshed
                 sample = store.sample_for_id(refreshed)
             if sample is not None:
-                if geom is None:
-                    return QueryResult(
-                        sample=sample,
-                        source="local",
-                        cell=cell,
-                        data_system_seconds=time.perf_counter() - started,
-                        guarantee=GuaranteeStatus.CERTIFIED,
-                    )
-                filtered, covers = store.spatial_filter(
-                    sample, geom, sample_id=sample_id
-                )
-                return QueryResult(
-                    sample=filtered,
-                    source="local",
-                    cell=cell,
-                    data_system_seconds=time.perf_counter() - started,
-                    guarantee=(
-                        GuaranteeStatus.CERTIFIED if covers else GuaranteeStatus.DOWNGRADED
-                    ),
-                    detail="" if covers else _SPATIAL_DETAIL,
-                    spatial_filtered=True,
-                )
+                return self._answer(cell, started, "local", sample, geom, sample_id)
             # Dangling sample id (corruption survivor): degrade rather
             # than raise — the dashboard still gets an honest answer.
             store.mark_degraded(cell, f"sample {sample_id} is missing from the store")
@@ -635,34 +630,8 @@ class Tabula:
                 cell, started, deadline=deadline, raw_policy=raw_policy, geometry=geom
             )
         if store.is_known_cell(cell):
-            if geom is None:
-                return QueryResult(
-                    sample=store.global_sample.table,
-                    source="global",
-                    cell=cell,
-                    data_system_seconds=time.perf_counter() - started,
-                    guarantee=GuaranteeStatus.CERTIFIED,
-                )
-            filtered, covers = store.filtered_global(geom)
-            return QueryResult(
-                sample=filtered,
-                source="global",
-                cell=cell,
-                data_system_seconds=time.perf_counter() - started,
-                guarantee=(
-                    GuaranteeStatus.CERTIFIED if covers else GuaranteeStatus.DOWNGRADED
-                ),
-                detail="" if covers else _SPATIAL_DETAIL,
-                spatial_filtered=True,
-            )
-        return QueryResult(
-            sample=Table.empty_like(self.table),
-            source="empty",
-            cell=cell,
-            data_system_seconds=time.perf_counter() - started,
-            guarantee=GuaranteeStatus.CERTIFIED,
-            spatial_filtered=geom is not None,
-        )
+            return self._answer(cell, started, "global", store.global_sample.table, geom)
+        return self._answer(cell, started, "empty", Table.empty_like(self.table), geom)
 
     def query_many(
         self,
@@ -671,136 +640,60 @@ class Tabula:
         raw_policy=None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> List[QueryResult]:
-        """Answer a batch of dashboard interactions in one cube pass.
+        """Answer a batch of dashboard interactions (a viewport's cells).
 
-        Semantically equivalent to ``[self.query(w) for w in wheres]`` —
-        same samples, sources and :class:`GuaranteeStatus` values — but
-        the common certified path costs one store-lock acquisition for
-        the whole batch (:meth:`SamplingCubeStore.resolve_many`) instead
-        of two per query, and cell-key validation caches repeated
-        ``(attr, value)`` literals, which dashboard viewports repeat
-        heavily (InfiniViz-style multi-cell fetches).
-
-        Items that need more than a certified lookup — equality-set
-        predicates (IN-style unions), degraded cells, or a pointer that
-        raced concurrent maintenance — fall back to the full
-        :meth:`query` path item by item, so every retry/downgrade
-        behavior is inherited unchanged.
-
-        ``geometry`` is one spatial predicate shared by the whole batch
-        (the viewport all cells are fetched for): local samples filter
-        inside the store's single lock pass, the filtered global sample
-        is computed once per batch, and every item inherits the same
-        guarantee semantics as :meth:`query`.
+        Exactly ``[self.query(w, ...) for w in wheres]`` — the same
+        per-cell ladder, so samples, sources, :class:`GuaranteeStatus`
+        values, retries, downgrades and exceptions are those of
+        :meth:`query` by construction. The batch shares one ``deadline``
+        and one ``geometry`` (the viewport all cells are fetched for),
+        which is parsed and validated once, before the first item.
         """
-        store = self._require_store()
-        cfg = self.config
-        geom: Optional[spatial.Geometry] = None
-        if geometry is not None:
-            geom = spatial.parse_geometry(geometry)
-            self._require_spatial()
-        wheres = list(wheres)
-        if deadline is not None:
-            deadline.check("before the cube lookup")
-        started = time.perf_counter()
+        self._require_store()
+        geom = self._parse_viewport(geometry) if geometry is not None else None
+        return [
+            self.query(where, deadline=deadline, raw_policy=raw_policy, geometry=geom)
+            for where in wheres
+        ]
 
-        validated: set = set()
-        cubed = set(cfg.cubed_attrs)
+    def _answer(
+        self,
+        cell: CellKey,
+        started: float,
+        source: str,
+        sample: Table,
+        geometry: Optional[spatial.Geometry],
+        sample_id: Optional[int] = None,
+        guarantee: GuaranteeStatus = GuaranteeStatus.CERTIFIED,
+        detail: str = "",
+        raw_blocked: bool = False,
+    ) -> QueryResult:
+        """The one place a rung's ``(sample, source)`` becomes a result.
 
-        def validated_cell(where) -> CellKey:
-            equalities = {} if where is None else dict(where)
-            extra = set(equalities) - cubed
-            if extra:
-                raise InvalidQueryError(
-                    f"WHERE clause references non-cubed attributes {sorted(extra)}; "
-                    f"cubed attributes are {list(cfg.cubed_attrs)}"
-                )
-            for attr, value in equalities.items():
-                pair = (attr, value)
-                if pair not in validated:
-                    self.table.column(attr).encode(value)
-                    validated.add(pair)
-            return tuple(equalities.get(attr) for attr in cfg.cubed_attrs)
-
-        results: List[Optional[QueryResult]] = [None] * len(wheres)
-        cells: List[Optional[CellKey]] = [None] * len(wheres)
-        slow: List[int] = []
-        for i, where in enumerate(wheres):
-            if isinstance(where, Predicate):
-                slow.append(i)  # may flatten to a union; query() decides
+        With a ``geometry`` the sample is filtered here, index-backed
+        for materialized and global samples. A strict subset voids a
+        certified sample's θ-certificate; the raw rung keeps it — an
+        exact filter of an exact answer is still exact.
+        """
+        if geometry is not None and source not in ("empty", "void"):
+            store = self._require_store()
+            if source == "global":
+                sample, covers = store.filtered_global(geometry)
             else:
-                cells[i] = validated_cell(where)
-
-        fast = [i for i in range(len(wheres)) if cells[i] is not None]
-        resolved = store.resolve_many([cells[i] for i in fast], geometry=geom)
-        empty_sample: Optional[Table] = None
-        filtered_global: Optional[Tuple[Table, bool]] = None
-        for i, (kind, sample) in zip(fast, resolved):
-            elapsed = time.perf_counter() - started
-            if kind == "local":
-                results[i] = QueryResult(
-                    sample=sample,
-                    source="local",
-                    cell=cells[i],
-                    data_system_seconds=elapsed,
-                    guarantee=GuaranteeStatus.CERTIFIED,
-                    spatial_filtered=geom is not None,
-                )
-            elif kind == "local_filtered":
-                results[i] = QueryResult(
-                    sample=sample,
-                    source="local",
-                    cell=cells[i],
-                    data_system_seconds=elapsed,
-                    guarantee=GuaranteeStatus.DOWNGRADED,
-                    detail=_SPATIAL_DETAIL,
-                    spatial_filtered=True,
-                )
-            elif kind == "global":
-                if geom is None:
-                    results[i] = QueryResult(
-                        sample=store.global_sample.table,
-                        source="global",
-                        cell=cells[i],
-                        data_system_seconds=elapsed,
-                        guarantee=GuaranteeStatus.CERTIFIED,
-                    )
-                else:
-                    if filtered_global is None:
-                        filtered_global = store.filtered_global(geom)
-                    filtered, covers = filtered_global
-                    results[i] = QueryResult(
-                        sample=filtered,
-                        source="global",
-                        cell=cells[i],
-                        data_system_seconds=elapsed,
-                        guarantee=(
-                            GuaranteeStatus.CERTIFIED
-                            if covers
-                            else GuaranteeStatus.DOWNGRADED
-                        ),
-                        detail="" if covers else _SPATIAL_DETAIL,
-                        spatial_filtered=True,
-                    )
-            elif kind == "empty":
-                if empty_sample is None:
-                    empty_sample = Table.empty_like(self.table)
-                results[i] = QueryResult(
-                    sample=empty_sample,
-                    source="empty",
-                    cell=cells[i],
-                    data_system_seconds=elapsed,
-                    guarantee=GuaranteeStatus.CERTIFIED,
-                    spatial_filtered=geom is not None,
-                )
-            else:  # "degraded" or "stale": the per-query protocol owns it
-                slow.append(i)
-
-        for i in slow:
-            results[i] = self.query(
-                wheres[i], deadline=deadline, raw_policy=raw_policy, geometry=geom
-            )
-        return results
+                sample, covers = store.spatial_filter(sample, geometry, sample_id=sample_id)
+            if not covers and source != "raw" and guarantee is GuaranteeStatus.CERTIFIED:
+                guarantee = GuaranteeStatus.DOWNGRADED
+                detail = f"{detail}; {_SPATIAL_DETAIL}" if detail else _SPATIAL_DETAIL
+        return QueryResult(
+            sample=sample,
+            source=source,
+            cell=cell,
+            data_system_seconds=time.perf_counter() - started,
+            guarantee=guarantee,
+            detail=detail,
+            raw_blocked=raw_blocked,
+            spatial_filtered=geometry is not None,
+        )
 
     def _degraded_answer(
         self,
@@ -814,139 +707,133 @@ class Tabula:
 
         local sample → (re-verified) representative sample → global
         sample → raw scan, with :class:`GuaranteeStatus` recording how
-        far the answer fell. Raw-backend failures (``OSError``) are
-        tolerated — the ladder records them and keeps descending — and
-        the expensive raw rungs are cut off by an expired ``deadline``
-        or a denying ``raw_policy``. The ladder only raises when the
-        deadline (not the data) is what prevented an answer; otherwise
-        the worst outcome is an explicit ``VOID``.
+        far the answer fell. The rungs are an ordered list chosen by the
+        configuration; each either answers or leaves a note on the
+        :class:`_Descent` and lets the next one try. Raw-backend failures
+        (``OSError``) are tolerated — the ladder records them and keeps
+        descending — and the expensive raw rungs are cut off by an
+        expired ``deadline`` or a denying ``raw_policy``. The ladder only
+        raises when the deadline (not the data) is what prevented an
+        answer; otherwise the worst outcome is an explicit ``VOID``.
         """
         cfg = self.config
         store = self._require_store()
-        reason = store.degraded_reason(cell) or "sample unavailable"
-        details = []
-        raw_blocked = False
-        deadline_cut = False
-        if cfg.degraded_rebind:
-            if deadline is not None and deadline.expired:
-                deadline_cut = True
-                details.append("rebind scan skipped: deadline expired")
-            else:
-                try:
-                    fault_point(FP_REBIND_SCAN)
-                    raw_indices = self._cell_row_indices(cell)
-                except OSError as exc:
-                    raw_indices = np.empty(0, dtype=np.int64)
-                    details.append(f"rebind scan failed: {exc}")
-                if raw_indices.size:
-                    cell_values = cfg.loss.extract(self.table.take(raw_indices))
-                    for sid, sample in store.sample_table_entries():
-                        if cfg.loss.loss(cell_values, cfg.loss.extract(sample)) <= cfg.threshold:
-                            store.reassign(cell, sid)
-                            detail = f"rebound to re-verified sample {sid} after: {reason}"
-                            if geometry is None:
-                                return QueryResult(
-                                    sample=sample,
-                                    source="representative",
-                                    cell=cell,
-                                    data_system_seconds=time.perf_counter() - started,
-                                    guarantee=GuaranteeStatus.CERTIFIED,
-                                    detail=detail,
-                                )
-                            filtered, covers = store.spatial_filter(
-                                sample, geometry, sample_id=sid
-                            )
-                            if not covers:
-                                detail += "; " + _SPATIAL_DETAIL
-                            return QueryResult(
-                                sample=filtered,
-                                source="representative",
-                                cell=cell,
-                                data_system_seconds=time.perf_counter() - started,
-                                guarantee=(
-                                    GuaranteeStatus.CERTIFIED
-                                    if covers
-                                    else GuaranteeStatus.DOWNGRADED
-                                ),
-                                detail=detail,
-                                spatial_filtered=True,
-                            )
-        rungs = ("global", "raw") if cfg.degraded_fallback == "global" else ("raw", "global")
+        trip = _Descent(
+            cell,
+            started,
+            store.degraded_reason(cell) or "sample unavailable",
+            deadline,
+            raw_policy,
+            geometry,
+        )
+        rungs = [self._rebind_rung] if cfg.degraded_rebind else []
+        if cfg.degraded_fallback == "global":
+            rungs += [self._global_rung, self._raw_rung]
+        else:
+            rungs += [self._raw_rung, self._global_rung]
         for rung in rungs:
-            if rung == "global" and store.global_sample.size > 0:
-                detail = f"θ-certificate void for this cell: {reason}"
-                if details:
-                    detail += "; " + "; ".join(details)
-                answer = store.global_sample.table
-                if geometry is not None:
-                    answer, _ = store.filtered_global(geometry)
-                return QueryResult(
-                    sample=answer,
-                    source="global",
-                    cell=cell,
-                    data_system_seconds=time.perf_counter() - started,
-                    guarantee=GuaranteeStatus.DOWNGRADED,
-                    detail=detail,
-                    raw_blocked=raw_blocked,
-                    spatial_filtered=geometry is not None,
-                )
-            if rung == "raw" and self.table.num_rows:
-                if raw_policy is not None and not raw_policy.allow():
-                    raw_blocked = True
-                    details.append("raw-scan fallback blocked by policy (circuit open)")
-                    continue
-                if deadline is not None and deadline.expired:
-                    deadline_cut = True
-                    details.append("raw-scan fallback skipped: deadline expired")
-                    continue
-                try:
-                    fault_point(FP_RAW_SCAN)
-                    # SlowIO lands on the fault point above: re-check the
-                    # budget so a stalled backend cuts the scan off
-                    # rather than serving a too-late exact answer.
-                    if deadline is not None and deadline.expired:
-                        deadline_cut = True
-                        details.append("raw-scan fallback cut off mid-flight: deadline expired")
-                        continue
-                    raw = self.table.take(self._cell_row_indices(cell))
-                except OSError as exc:
-                    if raw_policy is not None:
-                        raw_policy.record_failure()
-                    details.append(f"raw-scan fallback failed: {exc}")
-                    continue
-                if raw_policy is not None:
-                    raw_policy.record_success()
-                if geometry is not None:
-                    # An exact filter of an exact answer is still exact:
-                    # the raw rung keeps CERTIFIED under any geometry.
-                    raw, _ = spatial.filter_table(raw, geometry)
-                return QueryResult(
-                    sample=raw,
-                    source="raw",
-                    cell=cell,
-                    data_system_seconds=time.perf_counter() - started,
-                    guarantee=GuaranteeStatus.CERTIFIED,
-                    detail=f"exact raw-scan fallback after: {reason}",
-                    spatial_filtered=geometry is not None,
-                )
-        if deadline_cut:
+            result = rung(store, trip)
+            if result is not None:
+                return result
+        if trip.deadline_cut:
             raise DeadlineExceeded(
                 f"deadline expired before any fallback rung could answer "
-                f"cell {cell!r} ({reason})",
+                f"cell {cell!r} ({trip.reason})",
                 elapsed=time.perf_counter() - started,
             )
-        detail = f"no fallback could answer this cell: {reason}"
-        if details:
-            detail += "; " + "; ".join(details)
-        return QueryResult(
-            sample=Table.empty_like(self.table),
-            source="void",
-            cell=cell,
-            data_system_seconds=time.perf_counter() - started,
+        return self._answer(
+            cell,
+            started,
+            "void",
+            Table.empty_like(self.table),
+            geometry,
             guarantee=GuaranteeStatus.VOID,
-            detail=detail,
-            raw_blocked=raw_blocked,
-            spatial_filtered=geometry is not None,
+            detail=trip.detail("no fallback could answer this cell"),
+            raw_blocked=trip.raw_blocked,
+        )
+
+    def _rebind_rung(self, store: SamplingCubeStore, trip: "_Descent") -> Optional[QueryResult]:
+        """Re-verify a surviving representative against the cell's raw rows."""
+        cfg = self.config
+        if trip.deadline is not None and trip.deadline.expired:
+            trip.deadline_cut = True
+            trip.notes.append("rebind scan skipped: deadline expired")
+            return None
+        try:
+            fault_point(FP_REBIND_SCAN)
+            raw_indices = self._cell_row_indices(trip.cell)
+        except OSError as exc:
+            trip.notes.append(f"rebind scan failed: {exc}")
+            return None
+        if not raw_indices.size:
+            return None
+        cell_values = cfg.loss.extract(self.table.take(raw_indices))
+        for sid, sample in store.sample_table_entries():
+            if cfg.loss.loss(cell_values, cfg.loss.extract(sample)) <= cfg.threshold:
+                store.reassign(trip.cell, sid)
+                return self._answer(
+                    trip.cell,
+                    trip.started,
+                    "representative",
+                    sample,
+                    trip.geometry,
+                    sid,
+                    detail=f"rebound to re-verified sample {sid} after: {trip.reason}",
+                )
+        return None
+
+    def _global_rung(self, store: SamplingCubeStore, trip: "_Descent") -> Optional[QueryResult]:
+        """The global sample, honest but without the θ-certificate."""
+        if store.global_sample.size == 0:
+            return None
+        return self._answer(
+            trip.cell,
+            trip.started,
+            "global",
+            store.global_sample.table,
+            trip.geometry,
+            guarantee=GuaranteeStatus.DOWNGRADED,
+            detail=trip.detail("θ-certificate void for this cell"),
+            raw_blocked=trip.raw_blocked,
+        )
+
+    def _raw_rung(self, store: SamplingCubeStore, trip: "_Descent") -> Optional[QueryResult]:
+        """The exact raw-table scan, guarded by the policy and the deadline."""
+        if not self.table.num_rows:
+            return None
+        policy, deadline = trip.raw_policy, trip.deadline
+        if policy is not None and not policy.allow():
+            trip.raw_blocked = True
+            trip.notes.append("raw-scan fallback blocked by policy (circuit open)")
+            return None
+        if deadline is not None and deadline.expired:
+            trip.deadline_cut = True
+            trip.notes.append("raw-scan fallback skipped: deadline expired")
+            return None
+        try:
+            fault_point(FP_RAW_SCAN)
+            # SlowIO lands on the fault point above: re-check the
+            # budget so a stalled backend cuts the scan off
+            # rather than serving a too-late exact answer.
+            if deadline is not None and deadline.expired:
+                trip.deadline_cut = True
+                trip.notes.append("raw-scan fallback cut off mid-flight: deadline expired")
+                return None
+            raw = self.table.take(self._cell_row_indices(trip.cell))
+        except OSError as exc:
+            if policy is not None:
+                policy.record_failure()
+            trip.notes.append(f"raw-scan fallback failed: {exc}")
+            return None
+        if policy is not None:
+            policy.record_success()
+        return self._answer(
+            trip.cell,
+            trip.started,
+            "raw",
+            raw,
+            trip.geometry,
+            detail=f"exact raw-scan fallback after: {trip.reason}",
         )
 
     def query_union(
@@ -1104,8 +991,9 @@ class Tabula:
     def memory_breakdown(self) -> MemoryBreakdown:
         return self._require_store().memory_breakdown()
 
-    def _require_spatial(self) -> None:
-        """Geometry queries need the spatial columns in the raw table."""
+    def _parse_viewport(self, geometry: spatial.GeometrySpec) -> spatial.Geometry:
+        """Parse a geometry (TAB701) for a table that has the spatial columns (TAB702)."""
+        geom = spatial.parse_geometry(geometry)
         missing = [
             c
             for c in (spatial.SPATIAL_X, spatial.SPATIAL_Y)
@@ -1117,6 +1005,7 @@ class Tabula:
                 f"require {spatial.SPATIAL_X!r} and {spatial.SPATIAL_Y!r}",
                 code=spatial.TAB702_NOT_SPATIAL,
             )
+        return geom
 
     # ------------------------------------------------------------------
     def _require_store(self) -> SamplingCubeStore:

@@ -161,19 +161,19 @@ class ReloadResult:
 
 
 class _Request:
-    __slots__ = ("where", "deadline", "future", "batch", "geometry")
+    """One unit of admitted work: a batch of WHERE clauses (often one)."""
+
+    __slots__ = ("wheres", "deadline", "future", "geometry")
 
     def __init__(
         self,
-        where: Union[WhereClause, List[WhereClause]],
+        wheres: List[WhereClause],
         deadline: Optional[Deadline],
-        batch: bool = False,
         geometry: Optional[spatial.Geometry] = None,
     ) -> None:
-        self.where = where  # one WHERE clause, or a list of them when batch
+        self.wheres = wheres
         self.deadline = deadline
-        self.batch = batch
-        self.geometry = geometry  # parsed before admission (shared by a batch)
+        self.geometry = geometry  # parsed before admission, shared by the batch
         self.future: Future = Future()
 
 
@@ -269,64 +269,8 @@ class ServingGateway:
         deadline: Optional[Deadline] = None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> ServingResponse:
-        """Admit, execute and disposition one dashboard request.
-
-        Never blocks past the request's deadline: a full queue sheds
-        immediately and an expired budget abandons the slot (the worker
-        double-checks the deadline before doing any work).
-
-        ``geometry`` is parsed *before* admission, so a malformed
-        viewport raises TAB701 without occupying a queue slot or
-        polluting the error counters — it is a client mistake, not a
-        serving failure.
-
-        Raises:
-            TabulaError: the gateway is closed, or the request itself is
-                invalid (``InvalidQueryError`` from the query path).
-        """
-        if self._closed:
-            raise TabulaError("serving gateway is closed")
-        geom = spatial.parse_geometry(geometry) if geometry is not None else None
-        started = time.perf_counter()
-        if deadline is None:
-            seconds = (
-                deadline_seconds
-                if deadline_seconds is not None
-                else self.config.default_deadline_seconds
-            )
-            if seconds is not None:
-                deadline = Deadline.after(seconds)
-        request = _Request(where, deadline, geometry=geom)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            return self._disposed(
-                ServingOutcome.SHED,
-                started,
-                detail=(
-                    f"admission queue full ({self.config.queue_depth} waiting); "
-                    "request shed"
-                ),
-            )
-        timeout = deadline.remaining() if deadline is not None else None
-        try:
-            result, generation = request.future.result(timeout=timeout)
-        except FutureTimeout:
-            return self._disposed(
-                ServingOutcome.DEADLINE_EXCEEDED,
-                started,
-                detail="deadline expired while queued or executing",
-            )
-        except DeadlineExceeded as exc:
-            return self._disposed(
-                ServingOutcome.DEADLINE_EXCEEDED, started, detail=str(exc)
-            )
-        except Exception:
-            with self._stats_lock:
-                self._errors += 1
-                self._requests_total += 1
-            raise
-        return self._answered(result, generation, started)
+        """One dashboard request: a batch of one through :meth:`query_many`."""
+        return self.query_many([where], deadline_seconds, deadline, geometry)[0]
 
     def query_many(
         self,
@@ -335,21 +279,29 @@ class ServingGateway:
         deadline: Optional[Deadline] = None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> List[ServingResponse]:
-        """Admit and execute a batch of requests as one unit of work.
+        """Admit, execute and disposition a batch of requests as one unit.
 
         The whole batch occupies a single admission-queue slot and runs
-        through :meth:`Tabula.query_many` on one worker — one snapshot
-        pin and one store-lock acquisition for the common certified
-        path, which is what makes viewport-sized batches cheap. The
-        deadline covers the batch as a whole. Admission is
-        all-or-nothing: a full queue sheds every item (per-item
-        admission would defeat the amortization and reorder outcomes).
+        through :meth:`Tabula.query_many` on one worker under one
+        snapshot pin. The deadline covers the batch as a whole.
+        Admission is all-or-nothing: a full queue sheds every item
+        (per-item admission would reorder outcomes).
+
+        Never blocks past the deadline: a full queue sheds immediately
+        and an expired budget abandons the slot (the worker
+        double-checks the deadline before doing any work).
+
+        ``geometry`` is one viewport shared by the whole batch, parsed
+        *before* admission, so a malformed viewport raises TAB701
+        without occupying a queue slot or polluting the error counters —
+        it is a client mistake, not a serving failure.
 
         Returns one :class:`ServingResponse` per input, in order.
         Counters treat the batch as ``len(wheres)`` requests.
 
-        ``geometry`` is one viewport shared by the whole batch, parsed
-        before admission (malformed → TAB701 without counter impact).
+        Raises:
+            TabulaError: the gateway is closed, or a request itself is
+                invalid (``InvalidQueryError`` from the query path).
         """
         if self._closed:
             raise TabulaError("serving gateway is closed")
@@ -366,7 +318,7 @@ class ServingGateway:
             )
             if seconds is not None:
                 deadline = Deadline.after(seconds)
-        request = _Request(wheres, deadline, batch=True, geometry=geom)
+        request = _Request(wheres, deadline, geom)
         try:
             self._queue.put_nowait(request)
         except queue.Full:
@@ -374,17 +326,17 @@ class ServingGateway:
                 f"admission queue full ({self.config.queue_depth} waiting); "
                 f"batch of {len(wheres)} shed"
             )
-            return self._disposed_batch(ServingOutcome.SHED, started, detail, len(wheres))
+            return self._disposed(ServingOutcome.SHED, started, detail, len(wheres))
         timeout = deadline.remaining() if deadline is not None else None
         try:
             results, generation = request.future.result(timeout=timeout)
         except FutureTimeout:
             detail = "deadline expired while queued or executing"
-            return self._disposed_batch(
+            return self._disposed(
                 ServingOutcome.DEADLINE_EXCEEDED, started, detail, len(wheres)
             )
         except DeadlineExceeded as exc:
-            return self._disposed_batch(
+            return self._disposed(
                 ServingOutcome.DEADLINE_EXCEEDED, started, str(exc), len(wheres)
             )
         except Exception:
@@ -428,11 +380,6 @@ class ServingGateway:
         )
 
     def _disposed(
-        self, outcome: ServingOutcome, started: float, detail: str
-    ) -> ServingResponse:
-        return self._disposed_batch(outcome, started, detail, 1)[0]
-
-    def _disposed_batch(
         self, outcome: ServingOutcome, started: float, detail: str, count: int
     ) -> List[ServingResponse]:
         """Disposition ``count`` unanswered requests as one atomic unit.
@@ -475,24 +422,16 @@ class ServingGateway:
                     time.sleep(self.config.min_service_seconds)
                 if request.deadline is not None:
                     request.deadline.check("while queued for a worker")
-                if request.batch:
-                    result = snapshot.tabula.query_many(
-                        request.where,
-                        deadline=request.deadline,
-                        raw_policy=self.breaker,
-                        geometry=request.geometry,
-                    )
-                else:
-                    result = snapshot.tabula.query(
-                        request.where,
-                        deadline=request.deadline,
-                        raw_policy=self.breaker,
-                        geometry=request.geometry,
-                    )
+                results = snapshot.tabula.query_many(
+                    request.wheres,
+                    deadline=request.deadline,
+                    raw_policy=self.breaker,
+                    geometry=request.geometry,
+                )
             except Exception as exc:
                 request.future.set_exception(exc)
             else:
-                request.future.set_result((result, snapshot.generation))
+                request.future.set_result((results, snapshot.generation))
 
     # ------------------------------------------------------------------
     # Hot reload

@@ -177,49 +177,52 @@ def _rows_from_json(columns: Dict[str, list], backend: Any) -> Any:
     return Table.from_pydict({name: columns[name] for name in names}, types=types)
 
 
+def _number(kind: type, name: str, value: Any, default: Any = None) -> Any:
+    """A numeric request field; anything else is a ``ValueError`` (→ 400)."""
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name!r} must be a number, got {value!r}") from None
+
+
 def _parse_query_request(
     handler: "_GatewayHandler",
-) -> Tuple[Any, bool, Optional[float], int, Optional[Any], bool]:
-    """(where_or_batch, is_batch, deadline_seconds, limit, geometry,
-    progressive)."""
+) -> Tuple[List[Any], bool, Optional[float], int, Optional[Any], bool]:
+    """(wheres, enveloped, deadline_seconds, limit, geometry, progressive).
+
+    ``enveloped`` marks the ``{"queries": [...]}`` shape, answered as
+    ``{"results": [...]}``; every other shape is a batch of one.
+    """
+    fields: Mapping[str, Any]
     if handler.command == "POST":
         length = int(handler.headers.get("Content-Length") or 0)
         body = json.loads(handler.rfile.read(length) or b"{}")
         if not isinstance(body, dict):
             raise ValueError("body must be a JSON object")
-        deadline = body.get("deadline_seconds")
-        limit = int(body.get("limit", 20))
+        fields = body
         geometry = body.get("geometry")  # shared by the whole batch
         progressive = bool(body.get("progressive", False))
-        if "queries" in body:
-            queries = body["queries"]
-            if not isinstance(queries, list) or not all(
-                isinstance(q, dict) for q in queries
-            ):
-                raise ValueError("'queries' must be a list of 'where' objects")
-            if progressive:
-                raise ValueError("progressive mode takes a single 'where', not 'queries'")
-            return queries, True, deadline, limit, geometry, False
-        if not isinstance(body.get("where", {}), dict):
-            raise ValueError("body must be a JSON object with a 'where' object")
-        return body.get("where", {}), False, deadline, limit, geometry, progressive
-    params = dict(parse_qsl(urlsplit(handler.path).query))
-    reserved = {name: params.pop(name, None) for name in _RESERVED_PARAMS}
-    deadline = reserved["deadline_seconds"]
-    limit = int(reserved["limit"] or 20)
-    geometry = _parse_geometry_param(reserved["geometry"])
-    fmt = reserved["f"]
-    if fmt is not None and fmt != "json":
-        raise ValueError(f"unsupported response format f={fmt!r} (only 'json')")
-    progressive = (reserved["progressive"] or "").lower() in ("1", "true", "yes")
-    return (
-        params,
-        False,
-        (float(deadline) if deadline is not None else None),
-        limit,
-        geometry,
-        progressive,
-    )
+        enveloped = "queries" in body
+        wheres = body["queries"] if enveloped else [body.get("where", {})]
+        if not isinstance(wheres, list) or not all(isinstance(w, dict) for w in wheres):
+            raise ValueError("'where' must be an object and 'queries' a list of them")
+        if progressive and enveloped:
+            raise ValueError("progressive mode takes a single 'where', not 'queries'")
+    else:
+        params = dict(parse_qsl(urlsplit(handler.path).query))
+        fields = {name: params.pop(name, None) for name in _RESERVED_PARAMS}
+        geometry = _parse_geometry_param(fields["geometry"])
+        if fields["f"] is not None and fields["f"] != "json":
+            raise ValueError(f"unsupported response format f={fields['f']!r} (only 'json')")
+        progressive = (fields["progressive"] or "").lower() in ("1", "true", "yes")
+        wheres, enveloped = [params], False
+    deadline = _number(float, "deadline_seconds", fields.get("deadline_seconds"))
+    limit = _number(int, "limit", fields.get("limit"), 20)
+    if limit < 0:
+        raise ValueError(f"'limit' must be >= 0, got {limit}")
+    return wheres, enveloped, deadline, limit, geometry, progressive
 
 
 def _parse_geometry_param(value: Optional[str]) -> Optional[Any]:
@@ -259,6 +262,20 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", str(retry_after))
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_malformed(self, exc: Exception) -> None:
+        """400 TAB711: the request could not be parsed or validated."""
+        self._send_json(
+            400,
+            {"error": f"malformed request: {exc}", "code": TAB711_MALFORMED_REQUEST},
+        )
+
+    def _send_invalid(self, exc: TabulaError) -> None:
+        """400 with the error's own code (TAB712 when it carries none)."""
+        self._send_json(
+            400,
+            {"error": str(exc), "code": getattr(exc, "code", "") or TAB712_INVALID_QUERY},
+        )
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:
@@ -319,62 +336,43 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def _handle_query(self) -> None:
         try:
             (
-                where,
-                is_batch,
+                wheres,
+                enveloped,
                 deadline_seconds,
                 limit,
                 geometry,
                 progressive,
             ) = _parse_query_request(self)
         except (ValueError, json.JSONDecodeError) as exc:
-            self._send_json(
-                400,
-                {
-                    "error": f"malformed request: {exc}",
-                    "code": TAB711_MALFORMED_REQUEST,
-                },
-            )
+            self._send_malformed(exc)
             return
         if progressive:
-            self._handle_progressive(where, deadline_seconds, limit, geometry)
+            self._handle_progressive(wheres[0], deadline_seconds, limit, geometry)
             return
         try:
-            if is_batch:
+            if enveloped:
                 responses = self.gateway.query_many(
-                    where, deadline_seconds=deadline_seconds, geometry=geometry
+                    wheres, deadline_seconds=deadline_seconds, geometry=geometry
                 )
-            else:
-                response = self.gateway.query(
-                    where, deadline_seconds=deadline_seconds, geometry=geometry
-                )
+            else:  # the same pipeline, entered through its public single entry
+                responses = [
+                    self.gateway.query(
+                        wheres[0], deadline_seconds=deadline_seconds, geometry=geometry
+                    )
+                ]
         except TabulaError as exc:
-            self._send_json(
-                400,
-                {
-                    "error": str(exc),
-                    "code": getattr(exc, "code", "") or TAB712_INVALID_QUERY,
-                },
-            )
+            self._send_invalid(exc)
             return
-        if is_batch:
-            outcomes = {r.outcome for r in responses}
-            if responses and outcomes == {ServingOutcome.SHED}:
-                status, retry_after = 503, _retry_after()
-            elif responses and outcomes == {ServingOutcome.DEADLINE_EXCEEDED}:
-                status, retry_after = 504, None
-            else:
-                status, retry_after = 200, None
-            self._send_json(
-                status,
-                {"results": [response_to_json(r, limit=limit) for r in responses]},
-                retry_after=retry_after,
-            )
-            return
-        status = _STATUS[response.outcome]
+        # A batch is 200 unless every item met the same fate (all shed →
+        # 503, all deadline-expired → 504): a dashboard can render the
+        # answered tiles either way. At n = 1 that is _STATUS itself.
+        outcomes = {r.outcome for r in responses}
+        status = _STATUS[outcomes.pop()] if len(outcomes) == 1 else 200
+        documents = [response_to_json(r, limit=limit) for r in responses]
         self._send_json(
             status,
-            response_to_json(response, limit=limit),
-            retry_after=_retry_after() if response.outcome is ServingOutcome.SHED else None,
+            {"results": documents} if enveloped else documents[0],
+            retry_after=_retry_after() if status == 503 else None,
         )
 
     def _handle_progressive(
@@ -403,13 +401,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             first = next(frames)
         except TabulaError as exc:
-            self._send_json(
-                400,
-                {
-                    "error": str(exc),
-                    "code": getattr(exc, "code", "") or TAB712_INVALID_QUERY,
-                },
-            )
+            self._send_invalid(exc)
             return
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
@@ -459,13 +451,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             if seed is not None:
                 seed = int(seed)
         except (ValueError, json.JSONDecodeError) as exc:
-            self._send_json(
-                400,
-                {
-                    "error": f"malformed request: {exc}",
-                    "code": TAB711_MALFORMED_REQUEST,
-                },
-            )
+            self._send_malformed(exc)
             return
         try:
             result = ingestor.submit(
@@ -475,13 +461,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 timeout=float(body.get("timeout", 5.0)),
             )
         except TabulaError as exc:
-            self._send_json(
-                400,
-                {
-                    "error": str(exc),
-                    "code": getattr(exc, "code", "") or TAB712_INVALID_QUERY,
-                },
-            )
+            self._send_invalid(exc)
             return
         payload = {
             "outcome": result.outcome.value,
@@ -510,24 +490,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
         except json.JSONDecodeError as exc:
-            self._send_json(
-                400,
-                {
-                    "error": f"malformed request: {exc}",
-                    "code": TAB711_MALFORMED_REQUEST,
-                },
-            )
+            self._send_malformed(exc)
             return
         try:
             result = self.gateway.reload(body.get("path"))
         except TabulaError as exc:
-            self._send_json(
-                400,
-                {
-                    "error": str(exc),
-                    "code": getattr(exc, "code", "") or TAB712_INVALID_QUERY,
-                },
-            )
+            self._send_invalid(exc)
             return
         self._send_json(
             200 if result.ok else 409,

@@ -1,4 +1,4 @@
-"""Health-checked shard router: retry, hedge, failover, degrade — never 500.
+"""Health-checked shard router: retry, failover, degrade — never 500.
 
 The router is the dashboard-facing face of the sharded tier.  It speaks
 the same surface as :class:`~repro.serving.gateway.ServingGateway`
@@ -8,10 +8,7 @@ to either, and disposes every request down a strict ladder:
 
 1. **Owner shard** — placement-hashed worker RPC, gated by a per-shard
    :class:`~repro.serving.breaker.CircuitBreaker`, with jittered-backoff
-   retries on connection errors (reads are idempotent) and an optional
-   *hedge*: if the owner has not answered within
-   ``hedge_threshold_seconds``, a duplicate RPC races it and the first
-   answer wins.
+   retries on connection errors (reads are idempotent).
 2. **Failover replicas** — the next UP shards in the cell's
    deterministic ring order.  A replica does not hold the cell's local
    sample, so its answer is the replicated global sample, honestly
@@ -31,7 +28,6 @@ from __future__ import annotations
 import random
 import socket
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -66,15 +62,13 @@ _REASON_DEADLINE = "deadline"
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Routing policy: retries, hedging, failover, per-shard breakers."""
+    """Routing policy: retries, failover, per-shard breakers."""
 
     #: extra attempts per shard on connection errors (reads are idempotent).
     retries: int = 1
     retry_backoff_seconds: float = 0.05
     #: jitter fraction on the retry backoff (de-synchronizes retriers).
     retry_jitter: float = 0.5
-    #: hedge a slow owner call after this many seconds (None = no hedging).
-    hedge_threshold_seconds: Optional[float] = None
     #: how many replica shards to try after the owner (ring order).
     failover_attempts: int = 1
     #: per-RPC socket timeout when the request carries no deadline.
@@ -129,7 +123,6 @@ class ShardRouter:
         self._rpc_counters = {  # guard: _stats_lock
             "attempts": 0,
             "retries": 0,
-            "hedges": 0,
             "failovers": 0,
             "fallback_local": 0,
             "errors": 0,
@@ -137,10 +130,6 @@ class ShardRouter:
         self._reload_lock = create_lock("router._reload_lock")
         self._generation = 1  # guard-writes: _reload_lock
         self._rng = random.Random(self.config.seed)
-        self._hedge_pool = ThreadPoolExecutor(
-            max_workers=max(4, 2 * placement.num_shards),
-            thread_name_prefix="router-hedge",
-        )
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -170,7 +159,6 @@ class ShardRouter:
         if self._closed:
             return
         self._closed = True
-        self._hedge_pool.shutdown(wait=False)
         with self._pool_lock:
             pooled = [conn for pool in self._pools.values() for conn in pool]
             for pool in self._pools.values():
@@ -187,54 +175,8 @@ class ShardRouter:
         deadline: Optional[Deadline] = None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> ServingResponse:
-        """Route one request down the owner → replica → local ladder.
-
-        Raises only for caller bugs (closed router, invalid query or
-        malformed geometry — mapped to HTTP 400 upstream; geometry is
-        parsed *before* any RPC).  Worker death, partitions and open
-        breakers all come back as typed responses; there is no failure
-        mode that surfaces as an unhandled exception / HTTP 500 while
-        the local fallback rung exists.
-        """
-        if self._closed:
-            raise TabulaError("shard router is closed")
-        geom = spatial.parse_geometry(geometry) if geometry is not None else None
-        started = time.perf_counter()
-        if deadline is None and deadline_seconds is not None:
-            deadline = Deadline.after(deadline_seconds)
-        cell = self._fallback.cell_for(where)  # raises InvalidQueryError → 400
-        owner = self.placement.shard_of(cell)
-        payload: Dict[str, Any] = {
-            "op": "query",
-            "where": _plain_where(where),
-            "row_limit": self.config.wire_row_limit,
-        }
-        if geom is not None:
-            payload["geometry"] = geom.to_dict()
-        notes: List[str] = []
-
-        reply, owner_reason = self._call_shard(owner, payload, deadline=deadline, hedge=True)
-        response = self._response_from_reply(reply, owner, notes)
-        if response is not None:
-            return self._finish(response, started)
-
-        if self.config.failover_attempts > 0:
-            tried = 0
-            for shard in self.placement.fallback_order(cell)[1:]:
-                if tried >= self.config.failover_attempts:
-                    break
-                if deadline is not None and deadline.expired:
-                    break
-                tried += 1
-                self._count_rpc("failovers")
-                reply, _ = self._call_shard(shard, payload, deadline=deadline, hedge=False)
-                response = self._response_from_reply(reply, shard, notes)
-                if response is not None:
-                    response.detail = _join_detail(response.detail, notes)
-                    return self._finish(response, started)
-
-        response = self._local_answer(where, deadline, notes, owner_reason, geometry=geom)
-        return self._finish(response, started)
+        """One dashboard request: a batch of one through :meth:`query_many`."""
+        return self.query_many([where], deadline_seconds, deadline, geometry)[0]
 
     def query_many(
         self,
@@ -243,12 +185,20 @@ class ShardRouter:
         deadline: Optional[Deadline] = None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> List[ServingResponse]:
-        """Batch routing: group by owner shard, one RPC per group.
+        """Route a batch: group by shard ladder, one RPC per group and rung.
 
-        A group whose shard cannot answer degrades to the local fallback
-        *per group*, so one dead shard never poisons the whole batch.
-        ``geometry`` is one viewport shared by every item (parsed before
-        any RPC; malformed → 400 upstream).
+        Items whose cells share an owner and failover replicas travel
+        together down the owner → replica → local ladder
+        (:meth:`_route_group`), so one dead shard degrades only its own
+        group, never the whole batch. ``geometry`` is one viewport
+        shared by every item.
+
+        Raises only for caller bugs (closed router, invalid query or
+        malformed geometry — mapped to HTTP 400 upstream; both are
+        checked for the whole batch *before* any RPC).  Worker death,
+        partitions and open breakers all come back as typed responses;
+        there is no failure mode that surfaces as an unhandled exception
+        / HTTP 500 while the local fallback rung exists.
         """
         if self._closed:
             raise TabulaError("shard router is closed")
@@ -259,37 +209,56 @@ class ShardRouter:
         started = time.perf_counter()
         if deadline is None and deadline_seconds is not None:
             deadline = Deadline.after(deadline_seconds)
-        cells = [self._fallback.cell_for(w) for w in batch]  # all-or-nothing 400
-        groups: Dict[int, List[int]] = {}
-        for index, cell in enumerate(cells):
-            groups.setdefault(self.placement.shard_of(cell), []).append(index)
-        results: List[Optional[ServingResponse]] = [None] * len(batch)
-        for shard, indices in groups.items():
-            payload: Dict[str, Any] = {
-                "op": "query_many",
-                "wheres": [_plain_where(batch[i]) for i in indices],
-                "row_limit": self.config.wire_row_limit,
-            }
-            if geom is not None:
-                payload["geometry"] = geom.to_dict()
+        rungs = 1 + max(0, self.config.failover_attempts)
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for index, where in enumerate(batch):
+            cell = self._fallback.cell_for(where)  # raises InvalidQueryError → 400
+            ladder = tuple(self.placement.fallback_order(cell)[:rungs])
+            groups.setdefault(ladder, []).append(index)
+        results: Dict[int, ServingResponse] = {}
+        for ladder, indices in groups.items():
+            responses = self._route_group(ladder, [batch[i] for i in indices], geom, deadline)
+            results.update(zip(indices, responses))
+        return [self._finish(results[index], started) for index in range(len(batch))]
+
+    def _route_group(
+        self,
+        ladder: Tuple[int, ...],
+        wheres: List[Dict[str, Any]],
+        geometry: Optional[spatial.Geometry],
+        deadline: Optional[Deadline],
+    ) -> List[ServingResponse]:
+        """The routing ladder for items sharing ``ladder`` (owner first).
+
+        Owner shard, then its ring-order replicas, then the router's own
+        slice; the first rung that answers the whole group wins.
+        """
+        payload: Dict[str, Any] = {
+            "op": "query",
+            "wheres": [_plain_where(w) for w in wheres],
+            "row_limit": self.config.wire_row_limit,
+        }
+        if geometry is not None:
+            payload["geometry"] = geometry.to_dict()
+        notes: List[str] = []
+        owner_reason = ""
+        for rung, shard in enumerate(ladder):
+            if rung:
+                if deadline is not None and deadline.expired:
+                    break
+                self._count_rpc("failovers")
             reply, reason = self._call_shard(shard, payload, deadline=deadline)
-            documents = reply.get("responses") if reply is not None and reply.get("ok") else None
-            if isinstance(documents, list) and len(documents) == len(indices):
-                for index, document in zip(indices, documents):
-                    results[index] = wire.response_from_wire(document)
-            else:
-                group_notes: List[str] = []
-                if reply is not None and not reply.get("ok"):
-                    group_notes.append(f"shard {shard}: {reply.get('error')}")
-                for index in indices:
-                    results[index] = self._local_answer(
-                        batch[index], deadline, list(group_notes), reason, geometry=geom
-                    )
-        finished: List[ServingResponse] = []
-        for maybe in results:
-            assert maybe is not None  # every index filled above
-            finished.append(self._finish(maybe, started))
-        return finished
+            if rung == 0:
+                owner_reason = reason
+            responses = self._responses_from_reply(reply, shard, len(wheres), notes)
+            if responses is not None:
+                for response in responses:
+                    response.detail = _join_detail(response.detail, notes)
+                return responses
+        return [
+            self._local_answer(where, deadline, notes, owner_reason, geometry=geometry)
+            for where in wheres
+        ]
 
     def stats(self) -> Dict[str, Any]:
         with self._stats_lock:
@@ -406,14 +375,13 @@ class ShardRouter:
         )
 
     # ------------------------------------------------------------------
-    # Shard RPC with breaker / retry / hedge
+    # Shard RPC with breaker / retry
     # ------------------------------------------------------------------
     def _call_shard(
         self,
         shard: int,
         payload: Mapping[str, Any],
         deadline: Optional[Deadline] = None,
-        hedge: bool = False,
     ) -> Tuple[Optional[Dict[str, Any]], str]:
         """One shard's reply, or ``(None, reason)`` when it cannot answer.
 
@@ -431,10 +399,7 @@ class ShardRouter:
                 return None, _REASON_BREAKER
             self._count_rpc("attempts")
             try:
-                if hedge and self.config.hedge_threshold_seconds is not None:
-                    reply = self._hedged_rpc(shard, payload, deadline=deadline)
-                else:
-                    reply = self._rpc_once(shard, payload, deadline=deadline)
+                reply = self._rpc_once(shard, payload, deadline=deadline)
             except (OSError, ValueError) as exc:
                 breaker.record_failure()
                 self._count_rpc("errors")
@@ -480,37 +445,6 @@ class ShardRouter:
         self._checkin(shard, conn)
         return reply
 
-    def _hedged_rpc(
-        self,
-        shard: int,
-        payload: Mapping[str, Any],
-        deadline: Optional[Deadline] = None,
-    ) -> Dict[str, Any]:
-        threshold = self.config.hedge_threshold_seconds
-        assert threshold is not None
-        primary = self._hedge_pool.submit(self._rpc_once, shard, payload, deadline)
-        done, _ = wait([primary], timeout=threshold)
-        if primary in done:
-            return primary.result()
-        # The owner is slow: race a duplicate against it (reads are
-        # idempotent); the first clean answer wins, the loser is
-        # abandoned to its socket timeout.
-        self._count_rpc("hedges")
-        secondary = self._hedge_pool.submit(self._rpc_once, shard, payload, deadline)
-        racers = [primary, secondary]
-        grace = self._rpc_timeout(deadline)
-        end = time.monotonic() + grace
-        while True:
-            budget = max(0.0, end - time.monotonic())
-            finished, pending = wait(racers, timeout=budget, return_when=FIRST_COMPLETED)
-            for racer in finished:
-                if racer.exception() is None:
-                    return racer.result()
-            if not pending or budget <= 0.0:
-                break
-            racers = list(pending)
-        raise ConnectionError(f"hedged rpc to shard {shard}: both attempts failed")
-
     def _rpc_timeout(self, deadline: Optional[Deadline] = None) -> float:
         cap = self.config.rpc_timeout_seconds
         if deadline is None:
@@ -542,13 +476,14 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Disposal
     # ------------------------------------------------------------------
-    def _response_from_reply(
+    def _responses_from_reply(
         self,
         reply: Optional[Dict[str, Any]],
         shard: int,
+        count: int,
         notes: List[str],
-    ) -> Optional[ServingResponse]:
-        """Decode a single-query reply; ``None`` means "try the next rung"."""
+    ) -> Optional[List[ServingResponse]]:
+        """Decode a query reply; ``None`` means "try the next rung"."""
         if reply is None:
             notes.append(f"shard {shard} unavailable")
             return None
@@ -557,11 +492,15 @@ class ShardRouter:
                 raise TabulaError(str(reply.get("error", "invalid request")))
             notes.append(f"shard {shard}: {reply.get('error', 'internal error')}")
             return None
-        document = reply.get("response")
-        if not isinstance(document, dict):
+        documents = reply.get("responses")
+        if (
+            not isinstance(documents, list)
+            or len(documents) != count
+            or not all(isinstance(document, dict) for document in documents)
+        ):
             notes.append(f"shard {shard}: malformed reply")
             return None
-        return wire.response_from_wire(document)
+        return [wire.response_from_wire(document) for document in documents]
 
     def _local_answer(
         self,

@@ -219,16 +219,6 @@ class ShardWorker:
         if op == "query":
             fault_point(FP_HANDLE)
             deadline = _deadline_from(request)
-            response = self._gateway.query(
-                dict(request.get("where") or {}),
-                deadline=deadline,
-                geometry=request.get("geometry"),
-            )
-            limit = _row_limit(request)
-            return {"ok": True, "response": wire.response_to_wire(response, row_limit=limit)}
-        if op == "query_many":
-            fault_point(FP_HANDLE)
-            deadline = _deadline_from(request)
             wheres = [dict(w) for w in request.get("wheres") or []]
             responses = self._gateway.query_many(
                 wheres, deadline=deadline, geometry=request.get("geometry")

@@ -319,17 +319,17 @@ class TestFallbackAudit:
         failures = check_cube_doc(doc)
         assert any("silently degraded" in f for f in failures)
 
-    def test_check_cube_doc_enforces_speedup_only_when_gated(self):
+    def test_check_cube_doc_records_speedup_without_gating_it(self):
+        """A slower-than-serial parallel build is a number to read, not a
+        failure: below the pool start-up crossover the ratio depends on
+        the machine's core count, which tier-1 must not."""
         from repro.bench.cube_bench import check_cube_doc
 
-        base = {
+        doc = {
             "digests_equal": True,
             "serial": {"invariants": {"loss_bound_ok": True}},
             "parallel": {"invariants": {"loss_bound_ok": True}},
             "speedup_vs_serial": 0.4,
         }
-        ungated = dict(base, speedup_gate={"enforced": False, "cpu_count": 1})
-        assert check_cube_doc(ungated) == []
-        gated = dict(base, speedup_gate={"enforced": True, "cpu_count": 8})
-        failures = check_cube_doc(gated)
-        assert any("regression" in f for f in failures)
+        assert check_cube_doc(doc) == []
+        assert check_cube_doc(dict(doc, digests_equal=False)) != []

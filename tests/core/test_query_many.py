@@ -1,10 +1,10 @@
-"""``Tabula.query_many`` / ``SamplingCubeStore.resolve_many`` semantics.
+"""``Tabula.query_many`` semantics.
 
-The batched path exists purely for performance (one store-lock
-acquisition, cached literal validation); its contract is that it is
-observationally identical to N sequential ``query`` calls — same
-samples, sources, cells and :class:`GuaranteeStatus` values, same
-exceptions — including while a concurrent writer is appending rows.
+The batch entry point is the per-cell ladder applied item by item; its
+contract is that it is observationally identical to N sequential
+``query`` calls — same samples, sources, cells and
+:class:`GuaranteeStatus` values, same exceptions — including while a
+concurrent writer is appending rows.
 """
 
 import threading
@@ -103,42 +103,12 @@ class TestEquivalence:
         assert batch[0].source in {"representative", "global", "raw"}
         assert_equivalent(batch, sequential)
 
-    def test_stale_pointer_mid_batch_is_retried_not_degraded(self, monkeypatch):
-        """A pointer that raced concurrent maintenance delegates to the
-        per-query retry protocol and stays CERTIFIED."""
-        tabula = make_tabula()
-        store = tabula.store
-        cell = next(iter(store._cell_to_sample_id))
-        old_sid = store.sample_id_of(cell)
-        sample = store.sample_for_id(old_sid)
-        store.assign_new_sample(cell, sample)
-
-        real_resolve = store.resolve_many
-        real_for_id = store.sample_for_id
-
-        def stale_resolve(cells, geometry=None):
-            return [
-                ("stale", None) if c == cell else kind_sample
-                for c, kind_sample in zip(cells, real_resolve(cells, geometry=geometry))
-            ]
-
-        monkeypatch.setattr(store, "resolve_many", stale_resolve)
-        monkeypatch.setattr(
-            store,
-            "sample_for_id",
-            lambda sid: None if sid == old_sid else real_for_id(sid),
-        )
-        result = tabula.query_many([_query_of(cell)])[0]
-        assert result.guarantee is GuaranteeStatus.CERTIFIED
-        assert result.source == "local"
-        assert not store.is_degraded(cell)
-
 
 class TestConcurrentWriter:
     def test_batches_stay_honest_under_concurrent_appends(self):
         """query_many never raises or returns VOID while append_rows
         swaps samples underneath it (the stale-pointer retry absorbs
-        mid-swap reads; the batch resolve itself is lock-consistent)."""
+        mid-swap reads)."""
         tabula = make_tabula()
         wheres = [_query_of(cell) for cell in list(tabula.store._cell_to_sample_id)]
         assert wheres
@@ -176,36 +146,3 @@ class TestConcurrentWriter:
             append_rows(tabula, generate_nyctaxi(num_rows=150, seed=50 + batch))
         wheres = _mixed_workload(tabula)
         assert_equivalent(tabula.query_many(wheres), [tabula.query(w) for w in wheres])
-
-
-class TestResolveMany:
-    def test_kinds_match_single_lookups(self):
-        tabula = make_tabula()
-        store = tabula.store
-        local = next(iter(store._cell_to_sample_id))
-        degraded = list(store._cell_to_sample_id)[1]
-        # Choose the known-but-unmaterialized cell *before* degrading:
-        # mark_degraded pops the degraded cell's pointer, and _known_cells
-        # is a set, so a later scan could land on the degraded cell under
-        # some hash seeds.
-        known_global = next(
-            c for c in store._known_cells if c not in store._cell_to_sample_id
-        )
-        store.mark_degraded(degraded, "test")
-        unknown = ("never", "seen")
-        kinds = store.resolve_many([local, degraded, known_global, unknown])
-        assert [kind for kind, _ in kinds] == ["local", "degraded", "global", "empty"]
-        assert kinds[0][1] is store.lookup(local)
-        assert all(sample is None for _, sample in kinds[1:])
-
-    def test_batch_sees_one_consistent_generation(self):
-        """A mutation between two resolve_many calls is visible; within
-        one call the batch is atomic (single lock acquisition)."""
-        tabula = make_tabula()
-        store = tabula.store
-        cell = next(iter(store._cell_to_sample_id))
-        before = store.resolve_many([cell, cell])
-        assert before[0] == before[1]
-        store.demote_to_global(cell)
-        after = store.resolve_many([cell])
-        assert after[0][0] == "global"

@@ -228,16 +228,6 @@ class TestQueryGuarantees:
         expected, _ = filter_table(base.sample, geom)
         assert result.sample.to_pydict() == expected.to_pydict()
 
-    def test_query_many_matches_single(self, cube):
-        geom = BBox(0.2, 0.2, 0.8, 0.8)
-        wheres = [{"payment_type": "cash"}, {"passenger_count": "1"}, {}]
-        batched = cube.query_many(wheres, geometry=geom)
-        for where, batch_result in zip(wheres, batched):
-            single = cube.query(where, geometry=geom)
-            assert batch_result.sample.to_pydict() == single.sample.to_pydict()
-            assert batch_result.guarantee is single.guarantee
-            assert batch_result.spatial_filtered == single.spatial_filtered
-
     def test_non_spatial_cube_raises_tab702(self, rides_tiny):
         kept = {
             name: values

@@ -401,25 +401,6 @@ class TestLifecycle:
 
 
 class TestBatchedQueries:
-    def test_batch_matches_individual_responses(self, rides_tiny):
-        tabula = build_tabula(rides_tiny)
-        _, where = iceberg_query(tabula)
-        wheres = [where, {}, {"payment_type": "no_such_value"}]
-        gateway = ServingGateway(tabula, config=ServingConfig(workers=2, queue_depth=8))
-        try:
-            batch = gateway.query_many(wheres)
-            singles = [gateway.query(w) for w in wheres]
-            assert len(batch) == len(wheres)
-            for b, s in zip(batch, singles):
-                assert b.outcome == s.outcome
-                assert b.guarantee == s.guarantee
-                assert b.source == s.source
-                assert b.cell == s.cell
-                assert b.sample.to_pydict() == s.sample.to_pydict()
-                assert b.generation == s.generation
-        finally:
-            gateway.close()
-
     def test_empty_batch_is_noop(self, rides_tiny):
         gateway = ServingGateway(build_tabula(rides_tiny))
         try:
@@ -509,7 +490,7 @@ class TestBatchDispositionConsistency:
     ``query_many`` used to disposition a rejected batch one response at
     a time — N separate ``_stats_lock`` acquisitions — so a concurrent
     ``stats()`` reader could observe a *torn* batch: a shed count that
-    no admission decision ever produced. ``_disposed_batch`` counts the
+    no admission decision ever produced. ``_disposed`` counts the
     whole batch under one lock acquisition; this test races a stats
     sampler against shedding batches and asserts every observed value
     is a whole number of batches.

@@ -311,16 +311,6 @@ class TestBatchedQueryRoute:
         for result in results:
             assert len(next(iter(result["rows"].values()), [])) <= 5
 
-    def test_batch_matches_single_requests(self, served):
-        base, gateway = served
-        cell = next(iter(gateway.tabula.store._cell_to_sample_id))
-        where = {a: v for a, v in zip(ATTRS, cell) if v is not None}
-        _, batch_body = post_json(f"{base}/query", {"queries": [where]})
-        _, single_body = post_json(f"{base}/query", {"where": where})
-        batched = batch_body["results"][0]
-        for key in ("source", "guarantee", "cell", "num_rows", "rows"):
-            assert batched[key] == single_body[key]
-
     def test_empty_batch_is_200_with_no_results(self, served):
         base, _ = served
         status, body = post_json(f"{base}/query", {"queries": []})
@@ -329,7 +319,17 @@ class TestBatchedQueryRoute:
 
     def test_malformed_batch_is_400(self, served):
         base, _ = served
-        for bad in ({"queries": "nope"}, {"queries": [{"ok": "yes"}, "nope"]}):
+        for bad in (
+            {"queries": "nope"},
+            {"queries": [{"ok": "yes"}, "nope"]},
+            # Non-numeric budgets used to raise TypeError in the handler
+            # thread: the client saw a dropped connection, not a 400.
+            {"where": {}, "deadline_seconds": "abc"},
+            {"queries": [{}], "deadline_seconds": [1]},
+            {"where": {}, "limit": [1]},
+            # rows[:-1] would silently drop a row under an unchanged num_rows.
+            {"where": {}, "limit": -1},
+        ):
             request = urllib.request.Request(
                 f"{base}/query",
                 data=json.dumps(bad).encode("utf-8"),
@@ -338,7 +338,11 @@ class TestBatchedQueryRoute:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
-            assert excinfo.value.code == 400
+            assert excinfo.value.code == 400, bad
+            assert json.load(excinfo.value)["code"] == "TAB711", bad
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"{base}/query?limit=-1", timeout=10)
+        assert excinfo.value.code == 400
 
     def test_unknown_attribute_in_batch_is_400(self, served):
         base, _ = served

@@ -109,17 +109,6 @@ class TestGatewaySpatial:
             # Parsed before admission: no slot taken, no error counted.
             assert (stats_after["requests_total"], stats_after["errors"]) == before
 
-    def test_batch_shares_one_geometry(self, rides_tiny):
-        tabula = build_tabula(rides_tiny)
-        with ServingGateway(tabula, config=ServingConfig(workers=1)) as gateway:
-            wheres = [iceberg_where(tabula), {}]
-            batched = gateway.query_many(wheres, geometry="0,0,0.5,0.5")
-            for where, batch_response in zip(wheres, batched):
-                single = gateway.query(where, geometry="0,0,0.5,0.5")
-                assert batch_response.spatial_filtered == single.spatial_filtered
-                assert batch_response.guarantee is single.guarantee
-
-
 class TestWireCodec:
     def test_spatial_filtered_round_trips(self, rides_tiny):
         tabula = build_tabula(rides_tiny)
