@@ -24,7 +24,8 @@ then SIGKILLs one worker mid-stream. Asserts the chaos criterion:
   (the blast radius is the victim's cells, not the whole keyspace),
 - the supervisor restarts the worker and the probed cells return to
   their pre-kill guarantees (recovery to all-CERTIFIED),
-- ``/stats`` exposes the per-shard health the router collected.
+- ``/stats`` exposes the per-shard health the router collected,
+- SIGTERM of the server leaves none of its shard workers running.
 
 Run with ``REPRO_SANITIZE=1`` in CI: both server subprocesses inherit
 it, and any ``REPRO_SANITIZE:`` line on their stderr fails the smoke.
@@ -94,12 +95,33 @@ def wait_ready(base, deadline_seconds=60.0) -> None:
     fail(f"server at {base} never became ready")
 
 
+def _proc_stat(pid: int):
+    """``(state, ppid)`` from Linux ``/proc``; state ``""`` once the pid is gone."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+        return fields[0], int(fields[1])
+    except (OSError, IndexError, ValueError):
+        return "", -1
+
+
+def child_pids(parent: int) -> list:
+    pids = [int(entry.name) for entry in Path("/proc").glob("[0-9]*")]
+    return [pid for pid in pids if _proc_stat(pid)[1] == parent]
+
+
 def stop(server) -> None:
+    """SIGTERM the server; it must take its shard workers down with it."""
+    workers = child_pids(server.pid)
     server.terminate()
     try:
-        server.wait(timeout=10)
+        server.wait(timeout=15)
     except subprocess.TimeoutExpired:
         server.kill()
+    orphans = [pid for pid in workers if _proc_stat(pid)[0] not in ("", "Z")]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    if orphans:
+        fail(f"server {server.pid} exited but left its children running: {orphans}")
 
 
 def check_sanitizer_log(log_path: Path, who: str) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from typing import Dict, List, Optional
@@ -593,23 +594,34 @@ def _serve_sharded(args) -> int:
             argv += ["--ingest-dir", args.ingest]
         return argv
 
+    def terminate(signum, frame) -> None:
+        # SIGTERM's default action would skip every ``finally`` and orphan
+        # the workers; leave the way Ctrl-C does instead.
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, terminate)
     supervisor = ShardSupervisor(default_worker_factory(worker_argv), args.shards)
-    supervisor.start()
-    up = supervisor.up_shards()
-    fallback = shard_transform(placement, None)(
-        load_cube(args.cube, table, registry=registry)
-    )
-    router = ShardRouter(
-        supervisor, placement, fallback, cube_path=args.cube, registry=registry
-    )
-    print(
-        f"serving {args.cube} on http://{args.host}:{args.port} with "
-        f"{len(up)}/{args.shards} shard workers up "
-        f"(per-worker: workers={args.workers}, queue={args.queue_depth}; "
-        f"failed shards degrade to the replicated global sample)"
-    )
-    print("routes: POST/GET /query, GET /healthz /readyz /stats, POST /reload")
-    serve_http(router, host=args.host, port=args.port, quiet=args.quiet)
+    try:
+        supervisor.start()
+        up = supervisor.up_shards()
+        fallback = shard_transform(placement, None)(
+            load_cube(args.cube, table, registry=registry)
+        )
+        router = ShardRouter(
+            supervisor, placement, fallback, cube_path=args.cube, registry=registry
+        )
+        print(
+            f"serving {args.cube} on http://{args.host}:{args.port} with "
+            f"{len(up)}/{args.shards} shard workers up "
+            f"(per-worker: workers={args.workers}, queue={args.queue_depth}; "
+            f"failed shards degrade to the replicated global sample)"
+        )
+        print("routes: POST/GET /query, GET /healthz /readyz /stats, POST /reload")
+        serve_http(router, host=args.host, port=args.port, quiet=args.quiet)
+    except KeyboardInterrupt:  # terminated before serve_http took over
+        pass
+    finally:
+        supervisor.stop()  # idempotent: serve_http's router.close() stops it too
     return 0
 
 

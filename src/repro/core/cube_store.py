@@ -12,7 +12,7 @@ sample table).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,15 +73,6 @@ class SamplingCubeStore:
         # protocol), hence guard-writes rather than guard above.
         self._swap_lock = create_lock("cube_store._swap_lock", rlock=True)
         self._generation = 0  # guard-writes: _swap_lock
-        # Spatial index registry (viewport queries). Indexes are pure
-        # derived data over immutable sample tables: sample ids are
-        # never reused, so an id→index binding is valid forever and
-        # readers stay lock-free like sample reads — a racing removal
-        # just falls back to the oracle scan (always correct).
-        self._spatial_backend: Optional[str] = None  # guard-writes: _swap_lock
-        self._spatial_resolution: Optional[int] = None  # guard-writes: _swap_lock
-        self._spatial: Dict[int, spatial.SpatialIndex] = {}  # guard-writes: _swap_lock
-        self._global_spatial: Optional[spatial.SpatialIndex] = None  # guard-writes: _swap_lock
 
     @property
     def generation(self) -> int:
@@ -112,113 +103,15 @@ class SamplingCubeStore:
         return cell in self._known_cells
 
     # ------------------------------------------------------------------
-    # Spatial indexes (viewport queries)
+    # Viewport filtering (one exact mask scan; the sample is the index)
     # ------------------------------------------------------------------
-    @property
-    def spatial_backend(self) -> Optional[str]:
-        """Index backend in use (``None`` until built / non-spatial table)."""
-        return self._spatial_backend
-
-    def build_spatial_indexes(
-        self, backend: str = "grid", resolution: Optional[int] = None
-    ) -> bool:
-        """(Re)build one index per sample plus one for the global sample.
-
-        Called at cube build and reload time. Returns ``False`` (and
-        leaves the store index-free) when the samples carry no spatial
-        columns — geometry queries against such a cube raise TAB702 at
-        the query layer instead.
-        """
-        with self._swap_lock:
-            if not spatial.has_spatial_columns(self.global_sample.table):
-                return False
-            resolved = spatial.resolve_backend(backend)
-            self._spatial_backend = resolved
-            self._spatial_resolution = resolution
-            self._spatial = {
-                sid: self._index_for(sample) for sid, sample in self._samples.items()
-            }
-            self._global_spatial = self._index_for(self.global_sample.table)
-            return True
-
-    def restore_spatial(self, state: Mapping[str, Any]) -> bool:
-        """Adopt a persisted ``spatial_index`` section; ``False`` → rebuild.
-
-        Every per-sample record is verified against the sample it claims
-        to index (point counts, grid assignments); any inconsistency —
-        including a kd-tree record on a host without scipy — rejects the
-        whole section so the caller rebuilds from the samples. The index
-        is derived data: a bad section is recoverable, never fatal.
-        """
-        with self._swap_lock:
-            if not spatial.has_spatial_columns(self.global_sample.table):
-                return False
-            try:
-                backend = str(state["backend"])
-                if backend not in ("grid", "kdtree"):
-                    return False
-                per_sample: Dict[int, spatial.SpatialIndex] = {}
-                records = state.get("samples", {})
-                for sid, sample in self._samples.items():
-                    record = records.get(str(sid))
-                    if record is None:
-                        return False
-                    xs, ys = spatial.table_points(sample)
-                    per_sample[sid] = spatial.index_from_state(xs, ys, record)
-                gxs, gys = spatial.table_points(self.global_sample.table)
-                global_index = spatial.index_from_state(gxs, gys, state["global"])
-            except (KeyError, TypeError, ValueError):
-                return False
-            self._spatial_backend = backend
-            self._spatial_resolution = state.get("resolution")
-            self._spatial = per_sample
-            self._global_spatial = global_index
-            return True
-
-    def spatial_state(self) -> Optional[Dict[str, object]]:
-        """Serializable construction record (the persisted v2 section)."""
-        with self._swap_lock:
-            if self._spatial_backend is None or self._global_spatial is None:
-                return None
-            return {
-                "backend": self._spatial_backend,
-                "resolution": self._spatial_resolution,
-                "columns": [spatial.SPATIAL_X, spatial.SPATIAL_Y],
-                "samples": {
-                    str(sid): self._spatial[sid].state()
-                    for sid in sorted(self._spatial)
-                },
-                "global": self._global_spatial.state(),
-            }
-
     def filtered_global(self, geometry: spatial.Geometry) -> Tuple[Table, bool]:
-        """``(filtered, covers_all)`` of the global sample (index-backed)."""
-        return spatial.filter_table(
-            self.global_sample.table, geometry, index=self._global_spatial
-        )
+        """``(filtered, covers_all)`` of the global sample."""
+        return spatial.filter_table(self.global_sample.table, geometry)
 
-    def spatial_filter(
-        self,
-        sample: Table,
-        geometry: spatial.Geometry,
-        sample_id: Optional[int] = None,
-    ) -> Tuple[Table, bool]:
-        """``(filtered, covers_all)`` for one sample, index-backed.
-
-        Lock-free by design (same stale-read protocol as sample reads):
-        a missing or racing index entry falls back to the exact oracle
-        scan inside :func:`repro.core.spatial.filter_table`.
-        """
-        index = self._spatial.get(sample_id) if sample_id is not None else None
-        return spatial.filter_table(sample, geometry, index=index)
-
-    @guarded_by("_swap_lock")
-    def _index_for(self, sample: Table) -> spatial.SpatialIndex:
-        xs, ys = spatial.table_points(sample)
-        return spatial.build_index(
-            xs, ys, backend=self._spatial_backend or "grid",
-            resolution=self._spatial_resolution,
-        )
+    def spatial_filter(self, sample: Table, geometry: spatial.Geometry) -> Tuple[Table, bool]:
+        """``(filtered, covers_all)`` for one sample (lock-free: samples are immutable)."""
+        return spatial.filter_table(sample, geometry)
 
     # ------------------------------------------------------------------
     # Degraded cells (corruption survivors served via the fallback ladder)
@@ -257,7 +150,6 @@ class SamplingCubeStore:
                 self.mark_degraded(cell, reason)
             self._generation += 1
             self._samples.pop(sample_id, None)
-            self._spatial.pop(sample_id, None)
             return affected
 
     def reassign(self, cell: CellKey, sample_id: int) -> None:
@@ -310,7 +202,7 @@ class SamplingCubeStore:
             for cell in self._cell_to_sample_id:
                 if cell not in owned:
                     degraded[cell] = _foreign_cell_reason(owner_of(cell))
-            sliced = SamplingCubeStore(
+            return SamplingCubeStore(
                 attrs=self.attrs,
                 global_sample=self.global_sample,
                 cell_to_sample_id=owned,
@@ -318,16 +210,6 @@ class SamplingCubeStore:
                 known_cells=frozenset(self._known_cells),
                 degraded_cells=degraded,
             )
-            # Spatial indexes are immutable derived data over immutable
-            # sample tables — share them by reference into the slice
-            # instead of rebuilding per shard.
-            sliced._spatial_backend = self._spatial_backend
-            sliced._spatial_resolution = self._spatial_resolution
-            sliced._spatial = {
-                sid: idx for sid, idx in self._spatial.items() if sid in kept_ids
-            }
-            sliced._global_spatial = self._global_spatial
-            return sliced
 
     # ------------------------------------------------------------------
     # Introspection
@@ -379,8 +261,6 @@ class SamplingCubeStore:
             sample_id = self._next_sample_id
             self._next_sample_id += 1
             self._samples[sample_id] = sample
-            if self._spatial_backend is not None:
-                self._spatial[sample_id] = self._index_for(sample)
             old = self._cell_to_sample_id.get(cell)
             self._cell_to_sample_id[cell] = sample_id
             if old is not None:
@@ -401,7 +281,6 @@ class SamplingCubeStore:
     def _collect_if_orphaned(self, sample_id: int) -> None:
         if sample_id not in self._cell_to_sample_id.values():
             self._samples.pop(sample_id, None)
-            self._spatial.pop(sample_id, None)
 
     # ------------------------------------------------------------------
     # Physical layout (Figure 4), for display and the SQL surface

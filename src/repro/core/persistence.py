@@ -62,13 +62,11 @@ TAB504_MISSING_SECTION = "TAB504"
 TAB505_SECTION_CORRUPT = "TAB505"
 TAB506_SAMPLE_CORRUPT = "TAB506"
 TAB507_LOSS_UNREGISTERED = "TAB507"
-TAB508_SPATIAL_CORRUPT = "TAB508"
 
 #: Sections whose loss is fatal: without them there is no cube to serve.
-#: ``spatial_index`` is deliberately NOT here — it is derived data over
-#: the samples, so a missing or corrupt section is recoverable: the
-#: loader rebuilds the indexes and records it in the
-#: :class:`LoadReport` instead of failing the load.
+#: Sections this loader does not name are ignored, checksum and all —
+#: notably the ``spatial_index`` section older files carry (per-sample
+#: indexes, since removed: viewport filters scan the sample directly).
 _FATAL_SECTIONS = (
     "cubed_attrs",
     "threshold",
@@ -215,15 +213,10 @@ def save_cube(
         "sample_table": samples,
         "known_cells": [_cell_to_list(c) for c in sorted(store._known_cells, key=str)],
     }
-    spatial_state = store.spatial_state()
-    if spatial_state is not None:
-        document["spatial_index"] = spatial_state
     document["envelope"] = {
         "checksums": {name: _section_crc(document[name]) for name in _FATAL_SECTIONS},
         "sample_checksums": {sid: _section_crc(payload) for sid, payload in samples.items()},
     }
-    if spatial_state is not None:
-        document["envelope"]["checksums"]["spatial_index"] = _section_crc(spatial_state)
     atomic_write_text(path, json.dumps(document))
 
 
@@ -237,10 +230,6 @@ class LoadReport:
     degraded_cells: List[tuple] = field(default_factory=list)
     #: cells whose samples were re-drawn from raw data (``"repair"``).
     repaired_cells: List[tuple] = field(default_factory=list)
-    #: the persisted ``spatial_index`` section was missing, corrupt or
-    #: inconsistent with the samples, so the indexes were rebuilt from
-    #: the sample data instead of restored (recoverable, TAB508).
-    spatial_index_rebuilt: bool = False
 
 
 def _read_document(path: Union[str, Path]) -> dict:
@@ -453,19 +442,6 @@ def load_cube(
         known_cells=known,
     )
     report = LoadReport(corrupt_samples={int(s): c for s, c in corrupt_samples.items()})
-    # Restore the spatial indexes before corruption handling: a dropped
-    # sample then pops its index and a repaired one gets a fresh index
-    # built at assignment time, exactly like live maintenance.
-    spatial_section = document.get("spatial_index")
-    section_ok = spatial_section is not None
-    if section_ok and document.get("format_version") != 1:
-        recorded = document["envelope"]["checksums"].get("spatial_index")
-        section_ok = recorded == _section_crc(spatial_section)
-    restored = bool(section_ok) and store.restore_spatial(spatial_section)
-    if not restored:
-        report.spatial_index_rebuilt = store.build_spatial_indexes(
-            config.spatial_backend, config.spatial_resolution
-        )
     for sid_text in corrupt_samples:
         sid = int(sid_text)
         affected = store.drop_sample(
@@ -603,23 +579,6 @@ def verify_cube_file(path: Union[str, Path]) -> CubeVerifyReport:
                     False,
                     TAB506_SAMPLE_CORRUPT,
                     f"recorded crc32 {expected}, computed {actual} (recoverable)",
-                )
-            )
-    if "spatial_index" in document:
-        expected = envelope["checksums"].get("spatial_index")
-        actual = _section_crc(document["spatial_index"])
-        if expected == actual:
-            statuses.append(
-                SectionStatus("spatial_index", True, detail=f"crc32 {actual}")
-            )
-        else:
-            statuses.append(
-                SectionStatus(
-                    "spatial_index",
-                    False,
-                    TAB508_SPATIAL_CORRUPT,
-                    f"recorded crc32 {expected}, computed {actual} "
-                    "(recoverable; indexes are rebuilt on load)",
                 )
             )
     return CubeVerifyReport(str(path), version, tuple(statuses))

@@ -1,25 +1,20 @@
-"""Spatial predicates and per-sample spatial indexes (viewport queries).
+"""Spatial predicates for viewport queries — the sample is the index.
 
 The paper's dashboards are *geospatial*: a map client pans and zooms,
 and every viewport is a spatial range filter over the pickup location
 (``pickup_x``/``pickup_y``, normalized to [0, 1]) layered on top of the
-categorical cube cell the widget is bound to. This module supplies:
+categorical cube cell the widget is bound to. This module supplies the
+**geometries** — bbox, radius and convex-polygon predicates with an
+exact vectorized point-in-geometry test (:meth:`Geometry.mask`) — and
+:func:`filter_table`, which applies one to a sample.
 
-- **geometries** — bbox, radius and convex-polygon predicates with an
-  exact vectorized point-in-geometry test (:meth:`Geometry.mask`). The
-  brute-force mask over all rows is the *oracle*: every index backend
-  must return exactly the rows the mask selects.
-- **indexes** — a uniform grid (:class:`GridIndex`, the default: bin
-  rows once, prune whole bins per query) and a kd-tree option
-  (:class:`KDTreeIndex`, riding the same optional-scipy machinery as
-  the loss functions' nearest-neighbor path). Both backends prune to a
-  candidate superset and then apply the exact mask, so index-backed
-  answers are *identical* to the linear scan by construction — the
-  property the hypothesis oracle suite pins down.
+There is deliberately no spatial index: a sample is Serfling-sized
+(~1 k rows) or a θ-bounded handful, and one numpy mask over it is
+faster than any candidate-pruning structure until ~10⁵ points per
+sample (docs/architecture.md, "Why there is no index").
 
-Answer-identity depends on one invariant: ``mask ⊆ bounds`` — no point
-outside :meth:`Geometry.bounds` may satisfy the mask, because indexes
-prune candidates by bounds before masking. Bbox and radius satisfy it
+``mask ⊆ bounds`` holds for every geometry — no point outside
+:meth:`Geometry.bounds` satisfies the mask. Bbox and radius satisfy it
 arithmetically; the polygon mask intersects with its own bounding box
 explicitly so that degenerate (collinear) polygons cannot accept
 points on the carrier line beyond the hull.
@@ -34,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,18 +45,11 @@ __all__ = [
     "ConvexPolygon",
     "GeometryError",
     "Geometry",
-    "GridIndex",
-    "KDTreeIndex",
     "Radius",
-    "available_backends",
-    "build_index",
     "filter_table",
-    "geometry_rows",
     "has_spatial_columns",
-    "kdtree_available",
     "oracle_rows",
     "parse_geometry",
-    "resolve_backend",
 ]
 
 #: The spatial columns viewport queries filter on (NYC-taxi layout).
@@ -94,9 +82,8 @@ class GeometryError(InvalidQueryError):
 class Geometry:
     """A spatial predicate over (x, y) points.
 
-    Contract: :meth:`mask` is the exact membership test (the oracle);
-    :meth:`bounds` is a bounding box with ``mask ⊆ bounds`` — indexes
-    prune by bounds, then re-apply the exact mask to candidates.
+    Contract: :meth:`mask` is the exact membership test; :meth:`bounds`
+    is a bounding box with ``mask ⊆ bounds``.
     """
 
     kind = ""
@@ -128,8 +115,7 @@ class BBox(Geometry):
 
     Degenerate boxes are meaningful: zero area (``xmin == xmax``)
     selects points exactly on the line, inverted corners
-    (``xmin > xmax``) select nothing — no corner normalization, so the
-    index and the oracle cannot disagree about intent.
+    (``xmin > xmax``) select nothing — no corner normalization.
     """
 
     xmin: float
@@ -309,236 +295,6 @@ def parse_geometry(spec: GeometrySpec) -> Geometry:
 
 
 # ---------------------------------------------------------------------------
-# Index backends
-# ---------------------------------------------------------------------------
-
-
-def _padded(
-    bounds: Tuple[float, float, float, float]
-) -> Tuple[float, float, float, float]:
-    """Expand pruning bounds by a float-fuzz epsilon.
-
-    ``mask ⊆ bounds`` holds in real arithmetic; squaring/rounding at
-    the exact boundary can violate it by an ulp. Padding the *pruning*
-    box (never the mask) keeps every backend answer-identical to the
-    linear scan: a superset of candidates is always safe, the exact
-    mask decides.
-    """
-    xmin, ymin, xmax, ymax = bounds
-    pad = 1e-9 * (1.0 + max(abs(xmin), abs(xmax), abs(ymin), abs(ymax)))
-    return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
-
-
-class SpatialIndex:
-    """Index over one sample's points; ``query`` returns oracle rows."""
-
-    backend = ""
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self._xs = np.asarray(xs, dtype=float)
-        self._ys = np.asarray(ys, dtype=float)
-
-    @property
-    def num_points(self) -> int:
-        return int(self._xs.size)
-
-    def query(self, geometry: Geometry) -> np.ndarray:
-        """Sorted row indices whose points satisfy ``geometry``."""
-        candidates = self._candidates(_padded(geometry.bounds()))
-        if candidates.size == 0:
-            return candidates
-        keep = geometry.mask(self._xs[candidates], self._ys[candidates])
-        rows = candidates[keep]
-        rows.sort()
-        return rows
-
-    def _candidates(self, bounds: Tuple[float, float, float, float]) -> np.ndarray:
-        raise NotImplementedError
-
-    def state(self) -> Dict[str, Any]:
-        """JSON-serializable construction record (persistence section)."""
-        return {"kind": self.backend, "num_points": self.num_points}
-
-
-class GridIndex(SpatialIndex):
-    """Uniform grid over the sample's own extent (CSR row buckets).
-
-    Rows are binned once into a ``resolution × resolution`` grid; a
-    query turns its bounds into a bin range, gathers the bucketed rows
-    (the candidate superset) and re-applies the exact mask. Binning is
-    a pure function of the point coordinates and the resolution, so a
-    persisted assignment can be cross-checked against a recomputation.
-    """
-
-    backend = "grid"
-
-    def __init__(
-        self, xs: np.ndarray, ys: np.ndarray, resolution: Optional[int] = None
-    ):
-        super().__init__(xs, ys)
-        n = self.num_points
-        if resolution is None:
-            # ~4 points per occupied bin on uniform data; at least 1.
-            resolution = max(1, int(math.ceil(math.sqrt(max(n, 1) / 4.0))))
-        if resolution < 1:
-            raise ValueError(f"grid resolution must be >= 1, got {resolution}")
-        self.resolution = int(resolution)
-        if n:
-            self._x0 = float(self._xs.min())
-            self._y0 = float(self._ys.min())
-            self._span_x = float(self._xs.max()) - self._x0 or 1.0
-            self._span_y = float(self._ys.max()) - self._y0 or 1.0
-        else:
-            self._x0 = self._y0 = 0.0
-            self._span_x = self._span_y = 1.0
-        cells = self._bin(self._xs, self._ys)
-        self._order = np.argsort(cells, kind="stable").astype(np.int64)
-        self._sorted_cells = cells[self._order]
-        self._cell_of_row = cells
-
-    def _bin(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        r = self.resolution
-        ix = np.clip(((xs - self._x0) / self._span_x * r).astype(np.int64), 0, r - 1)
-        iy = np.clip(((ys - self._y0) / self._span_y * r).astype(np.int64), 0, r - 1)
-        return ix * r + iy
-
-    def _candidates(self, bounds: Tuple[float, float, float, float]) -> np.ndarray:
-        xmin, ymin, xmax, ymax = bounds
-        if xmin > xmax or ymin > ymax or self.num_points == 0:
-            return np.empty(0, dtype=np.int64)
-        r = self.resolution
-
-        def bin_of(value: float, origin: float, span: float) -> int:
-            return int(np.clip(int((value - origin) / span * r), 0, r - 1))
-
-        bx0 = bin_of(xmin, self._x0, self._span_x)
-        bx1 = bin_of(xmax, self._x0, self._span_x)
-        by0 = bin_of(ymin, self._y0, self._span_y)
-        by1 = bin_of(ymax, self._y0, self._span_y)
-        pieces = []
-        for bx in range(bx0, bx1 + 1):
-            lo = np.searchsorted(self._sorted_cells, bx * r + by0, side="left")
-            hi = np.searchsorted(self._sorted_cells, bx * r + by1, side="right")
-            if hi > lo:
-                pieces.append(self._order[lo:hi])
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces)
-
-    def state(self) -> Dict[str, Any]:
-        return {
-            "kind": "grid",
-            "num_points": self.num_points,
-            "resolution": self.resolution,
-            "cells": self._cell_of_row.tolist(),
-        }
-
-
-def kdtree_available() -> bool:
-    """Whether the optional scipy kd-tree backend can be built."""
-    from repro.core.loss.base import _KDTree
-
-    return _KDTree is not None
-
-
-class KDTreeIndex(SpatialIndex):
-    """kd-tree backend over the loss functions' optional scipy tree.
-
-    Candidates are the points inside the circumscribed circle of the
-    query bounds (with a float-fuzz epsilon so boundary points are
-    never pruned); the exact mask then decides, so answers are
-    identical to the grid backend and the linear scan.
-    """
-
-    backend = "kdtree"
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        from repro.core.loss.base import _KDTree
-
-        if _KDTree is None:  # pragma: no cover - gated by resolve_backend
-            raise RuntimeError("scipy is not available; use the grid backend")
-        super().__init__(xs, ys)
-        self._tree = (
-            _KDTree(np.column_stack([self._xs, self._ys])) if self.num_points else None
-        )
-
-    def _candidates(self, bounds: Tuple[float, float, float, float]) -> np.ndarray:
-        xmin, ymin, xmax, ymax = bounds
-        if xmin > xmax or ymin > ymax or self._tree is None:
-            return np.empty(0, dtype=np.int64)
-        cx = (xmin + xmax) / 2.0
-        cy = (ymin + ymax) / 2.0
-        radius = math.hypot(xmax - cx, ymax - cy)
-        radius = radius * (1.0 + 1e-9) + 1e-12
-        found = self._tree.query_ball_point([cx, cy], radius)
-        return np.asarray(found, dtype=np.int64)
-
-
-def available_backends() -> Tuple[str, ...]:
-    return ("grid", "kdtree") if kdtree_available() else ("grid",)
-
-
-def resolve_backend(name: str) -> str:
-    """The backend actually used for ``name`` (kd-tree needs scipy).
-
-    An unavailable kd-tree quietly resolves to ``grid`` — a cube built
-    where scipy exists must still load where it does not.
-    """
-    if name not in ("grid", "kdtree"):
-        raise ValueError(f"unknown spatial backend {name!r} (grid/kdtree)")
-    if name == "kdtree" and not kdtree_available():
-        return "grid"
-    return name
-
-
-def build_index(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    backend: str = "grid",
-    resolution: Optional[int] = None,
-) -> SpatialIndex:
-    backend = resolve_backend(backend)
-    if backend == "kdtree":
-        return KDTreeIndex(xs, ys)
-    return GridIndex(xs, ys, resolution=resolution)
-
-
-def index_from_state(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    state: Mapping[str, Any],
-    resolution_default: Optional[int] = None,
-) -> SpatialIndex:
-    """Rebuild an index from its persisted construction record.
-
-    The record is *verified* against the sample it claims to index —
-    point count and (for the grid) the full row→bin assignment must
-    match a recomputation. Any inconsistency raises ``ValueError``; the
-    caller then rebuilds from scratch (the index is derived data, so a
-    corrupt section is recoverable, never fatal).
-    """
-    kind = state.get("kind")
-    if kind not in ("grid", "kdtree"):
-        raise ValueError(f"unknown spatial index kind {kind!r}")
-    if int(state.get("num_points", -1)) != len(xs):
-        raise ValueError(
-            f"spatial index records {state.get('num_points')} points, "
-            f"sample has {len(xs)}"
-        )
-    if kind == "kdtree":
-        if not kdtree_available():
-            raise ValueError("kd-tree index recorded but scipy is unavailable")
-        return KDTreeIndex(xs, ys)
-    index = GridIndex(xs, ys, resolution=int(state.get("resolution", 0)) or None)
-    recorded = np.asarray(state.get("cells", []), dtype=np.int64)
-    if recorded.size != index.num_points or not np.array_equal(
-        recorded, index._cell_of_row
-    ):
-        raise ValueError("persisted grid assignment does not match the sample")
-    return index
-
-
-# ---------------------------------------------------------------------------
 # Table plumbing
 # ---------------------------------------------------------------------------
 
@@ -561,39 +317,23 @@ def table_points(table: Table) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def oracle_rows(table: Table, geometry: Geometry) -> np.ndarray:
-    """Brute-force linear scan: the ground truth every index must match."""
+    """Rows of ``table`` inside ``geometry``: one vectorized mask scan."""
     xs, ys = table_points(table)
     return np.nonzero(geometry.mask(xs, ys))[0]
 
 
-def geometry_rows(
-    table: Table, geometry: Geometry, index: Optional[SpatialIndex] = None
-) -> np.ndarray:
-    """Rows of ``table`` inside ``geometry``, index-backed when one fits.
-
-    An index is used only when it indexes exactly this many points —
-    anything else (stale registry entry after concurrent maintenance,
-    missing index) falls back to the oracle scan, which is always
-    correct.
-    """
-    if index is not None and index.num_points == table.num_rows:
-        return index.query(geometry)
-    return oracle_rows(table, geometry)
-
-
-def filter_table(
-    table: Table, geometry: Geometry, index: Optional[SpatialIndex] = None
-) -> Tuple[Table, bool]:
+def filter_table(table: Table, geometry: Geometry, index: None = None) -> Tuple[Table, bool]:
     """``(filtered, covers_all)`` — the spatially filtered sample.
 
     ``covers_all`` is True when the geometry retains every row; the
     table is then returned as-is (same object), which is what lets a
     θ-certified answer stay CERTIFIED — the certified estimator is
-    untouched.
+    untouched. ``index`` is unused; it is accepted only because
+    ``perf/traced.py`` still forwards the keyword.
     """
     if table.num_rows == 0:
         return table, True
-    rows = geometry_rows(table, geometry, index=index)
+    rows = oracle_rows(table, geometry)
     if rows.size == table.num_rows:
         return table, True
     return table.take(rows), False

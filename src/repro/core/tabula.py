@@ -96,12 +96,6 @@ class TabulaConfig:
             swap before concluding the store is damaged. The default of
             1 suffices for a single writer; raise it when several
             maintenance writers share the instance.
-        spatial_backend: index backend for geometry (viewport) queries —
-            ``"grid"`` (uniform grid, always available) or ``"kdtree"``
-            (scipy-backed; silently resolves to the grid when scipy is
-            absent so a cube built with scipy still loads without it).
-        spatial_resolution: grid cells per axis; ``None`` auto-sizes
-            from the sample size.
     """
 
     cubed_attrs: Tuple[str, ...]
@@ -118,15 +112,8 @@ class TabulaConfig:
     degraded_rebind: bool = True
     degraded_fallback: str = "global"
     stale_pointer_retries: int = 1
-    spatial_backend: str = "grid"
-    spatial_resolution: Optional[int] = None
 
     def __post_init__(self):
-        if self.spatial_backend not in ("grid", "kdtree"):
-            raise ValueError(
-                f"spatial_backend must be 'grid' or 'kdtree', got "
-                f"{self.spatial_backend!r}"
-            )
         if self.degraded_fallback not in ("global", "raw"):
             raise ValueError(
                 f"degraded_fallback must be 'global' or 'raw', got "
@@ -393,7 +380,6 @@ class Tabula:
             samples=samples,
             known_cells=dry.known_cells,
         )
-        self._store.build_spatial_indexes(cfg.spatial_backend, cfg.spatial_resolution)
         self._dry = dry
         self._real = real
         self._report = InitializationReport(
@@ -524,13 +510,6 @@ class Tabula:
                 f"store attrs {store.attrs} do not match config "
                 f"{self.config.cubed_attrs}"
             )
-        if store.spatial_backend is None:
-            # Persistence restores (or rebuilds) indexes itself; any
-            # other external store gets them built here so geometry
-            # queries work the same on adopted cubes.
-            store.build_spatial_indexes(
-                self.config.spatial_backend, self.config.spatial_resolution
-            )
         self._store = store
 
     # ------------------------------------------------------------------
@@ -621,7 +600,7 @@ class Tabula:
                 sample_id = refreshed
                 sample = store.sample_for_id(refreshed)
             if sample is not None:
-                return self._answer(cell, started, "local", sample, geom, sample_id)
+                return self._answer(cell, started, "local", sample, geom)
             # Dangling sample id (corruption survivor): degrade rather
             # than raise — the dashboard still gets an honest answer.
             store.mark_degraded(cell, f"sample {sample_id} is missing from the store")
@@ -663,24 +642,22 @@ class Tabula:
         source: str,
         sample: Table,
         geometry: Optional[spatial.Geometry],
-        sample_id: Optional[int] = None,
         guarantee: GuaranteeStatus = GuaranteeStatus.CERTIFIED,
         detail: str = "",
         raw_blocked: bool = False,
     ) -> QueryResult:
         """The one place a rung's ``(sample, source)`` becomes a result.
 
-        With a ``geometry`` the sample is filtered here, index-backed
-        for materialized and global samples. A strict subset voids a
-        certified sample's θ-certificate; the raw rung keeps it — an
-        exact filter of an exact answer is still exact.
+        With a ``geometry`` the sample is filtered here. A strict subset
+        voids a certified sample's θ-certificate; the raw rung keeps it —
+        an exact filter of an exact answer is still exact.
         """
         if geometry is not None and source not in ("empty", "void"):
             store = self._require_store()
             if source == "global":
                 sample, covers = store.filtered_global(geometry)
             else:
-                sample, covers = store.spatial_filter(sample, geometry, sample_id=sample_id)
+                sample, covers = store.spatial_filter(sample, geometry)
             if not covers and source != "raw" and guarantee is GuaranteeStatus.CERTIFIED:
                 guarantee = GuaranteeStatus.DOWNGRADED
                 detail = f"{detail}; {_SPATIAL_DETAIL}" if detail else _SPATIAL_DETAIL
@@ -777,7 +754,6 @@ class Tabula:
                     "representative",
                     sample,
                     trip.geometry,
-                    sid,
                     detail=f"rebound to re-verified sample {sid} after: {trip.reason}",
                 )
         return None

@@ -35,7 +35,7 @@ from repro.errors import TabulaError
 from repro.resilience.faults import fault_point, register_fault_point
 
 #: Typed persistence code for interior journal corruption (continues the
-#: TAB501–TAB508 range owned by :mod:`repro.core.persistence`).
+#: TAB5xx range owned by :mod:`repro.core.persistence`; 508 is retired).
 TAB509_JOURNAL_CORRUPT = "TAB509"
 
 FP_LOG_BEFORE_APPEND = register_fault_point(

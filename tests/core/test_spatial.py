@@ -1,9 +1,9 @@
-"""Fast-tier tests for spatial geometries, indexes, and the query path.
+"""Fast-tier tests for spatial geometries, the mask filter and the query path.
 
-The exhaustive property-based equivalence suite lives in
-``test_spatial_oracle.py`` behind ``-m spatial``; these tests pin the
-API contracts (parse errors, guarantee semantics, persistence) on small
-fixed inputs so the default tier stays fast.
+The property-based suite lives in ``test_spatial_oracle.py`` behind
+``-m spatial``; these tests pin the API contracts (parse errors,
+guarantee semantics, persistence) on small fixed inputs so the default
+tier stays fast.
 """
 
 import json
@@ -12,21 +12,14 @@ import numpy as np
 import pytest
 
 from repro.core import spatial
-from repro.core.loss import MeanLoss
-from repro.core.persistence import (
-    TAB508_SPATIAL_CORRUPT,
-    load_cube,
-    save_cube,
-    verify_cube_file,
-)
+from repro.core.loss import HeatmapLoss, MeanLoss
+from repro.core.persistence import _section_crc, load_cube, save_cube, verify_cube_file
 from repro.core.spatial import (
     BBox,
     ConvexPolygon,
     GeometryError,
     Radius,
-    build_index,
     filter_table,
-    index_from_state,
     oracle_rows,
     parse_geometry,
 )
@@ -140,52 +133,7 @@ class TestGeometrySemantics:
         assert degenerate.mask(xs, ys).tolist() == [True, False, False]
 
 
-class TestIndexBackends:
-    @pytest.fixture(scope="class")
-    def points(self):
-        rng = np.random.default_rng(7)
-        return rng.random(500), rng.random(500)
-
-    @pytest.mark.parametrize("backend", spatial.available_backends())
-    def test_index_matches_oracle(self, points, backend):
-        xs, ys = points
-        index = build_index(xs, ys, backend=backend)
-        for geom in (
-            BBox(0.25, 0.25, 0.75, 0.75),
-            BBox(0.5, 0.0, 0.5, 1.0),
-            Radius(0.5, 0.5, 0.2),
-            ConvexPolygon(((0.1, 0.1), (0.9, 0.2), (0.5, 0.9))),
-            WHOLE_EXTENT,
-            BBox(2.0, 2.0, 3.0, 3.0),  # fully outside
-        ):
-            expected = np.nonzero(geom.mask(xs, ys))[0]
-            assert index.query(geom).tolist() == expected.tolist(), (backend, geom)
-
-    def test_empty_index(self):
-        index = build_index(np.empty(0), np.empty(0))
-        assert index.query(BBox(0, 0, 1, 1)).size == 0
-
-    def test_resolve_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            spatial.resolve_backend("rtree")
-
-    def test_grid_state_round_trip(self, points):
-        xs, ys = points
-        index = build_index(xs, ys, backend="grid")
-        restored = index_from_state(xs, ys, index.state())
-        geom = Radius(0.3, 0.7, 0.15)
-        assert restored.query(geom).tolist() == index.query(geom).tolist()
-
-    def test_state_mismatch_raises(self, points):
-        xs, ys = points
-        state = build_index(xs, ys, backend="grid").state()
-        with pytest.raises(ValueError):
-            index_from_state(xs[:-1], ys[:-1], state)
-        tampered = dict(state)
-        tampered["cells"] = list(reversed(state["cells"]))
-        with pytest.raises(ValueError):
-            index_from_state(xs, ys, tampered)
-
+class TestFilterTable:
     def test_filter_table_covers_all_returns_same_object(self, rides_tiny):
         filtered, covers = filter_table(rides_tiny, WHOLE_EXTENT)
         assert covers and filtered is rides_tiny
@@ -240,48 +188,52 @@ class TestQueryGuarantees:
             tabula.query({}, geometry=WHOLE_EXTENT)
         assert excinfo.value.code == spatial.TAB702_NOT_SPATIAL
 
-    def test_kdtree_config_matches_grid_answers(self, rides_tiny):
-        if not spatial.kdtree_available():
-            pytest.skip("scipy unavailable: kdtree backend resolves to grid")
-        grid = make_tabula(rides_tiny, spatial_backend="grid")
-        kdtree = make_tabula(rides_tiny, spatial_backend="kdtree")
-        geom = BBox(0.1, 0.1, 0.6, 0.6)
-        for where in ({"payment_type": "cash"}, {}):
-            a = grid.query(where, geometry=geom)
-            b = kdtree.query(where, geometry=geom)
-            assert a.sample.to_pydict() == b.sample.to_pydict()
-            assert a.guarantee is b.guarantee
+
+def legacy_index_section(document):
+    """The ``spatial_index`` section files saved before the indexes were
+    removed carry: one grid record per sample plus one for the global
+    sample (resolution 1 bins every row into cell 0, so the records are
+    consistent with the samples for a loader that still verifies them)."""
+
+    def record(table_json):
+        rows = table_json["num_rows"]
+        return {"kind": "grid", "num_points": rows, "resolution": 1, "cells": [0] * rows}
+
+    return {
+        "backend": "grid",
+        "resolution": None,
+        "columns": ["pickup_x", "pickup_y"],
+        "samples": {sid: record(t) for sid, t in sorted(document["sample_table"].items())},
+        "global": record(document["global_sample"]["table"]),
+    }
 
 
 class TestPersistence:
-    def test_round_trip_restores_indexes(self, cube, rides_small, tmp_path):
+    @pytest.mark.parametrize("section_crc_intact", [True, False])
+    def test_older_file_with_index_section_still_loads(
+        self, rides_tiny, tmp_path, section_crc_intact
+    ):
+        """The section is skipped, checksum and all — never restored, never fatal."""
+        config = TabulaConfig(
+            cubed_attrs=ATTRS, threshold=0.01, loss=HeatmapLoss("pickup_x", "pickup_y")
+        )
+        fresh = Tabula(rides_tiny, config)
+        fresh.initialize()
         path = tmp_path / "cube.json"
-        save_cube(cube, path)
+        save_cube(fresh, path)
         document = json.loads(path.read_text())
-        assert "spatial_index" in document
-        assert "spatial_index" in document["envelope"]["checksums"]
-        restored = load_cube(path, rides_small)
-        assert not restored.last_load_report.spatial_index_rebuilt
-        geom = BBox(0.0, 0.0, 0.5, 0.5)
-        original = cube.query({"payment_type": "cash"}, geometry=geom)
-        loaded = restored.query({"payment_type": "cash"}, geometry=geom)
-        assert loaded.sample.to_pydict() == original.sample.to_pydict()
-        assert loaded.guarantee is original.guarantee
-
-    def test_corrupt_section_rebuilds(self, cube, rides_small, tmp_path):
-        path = tmp_path / "cube.json"
-        save_cube(cube, path)
-        document = json.loads(path.read_text())
-        first = next(iter(document["spatial_index"]["samples"]))
-        document["spatial_index"]["samples"][first]["num_points"] = 10**6
+        section = legacy_index_section(document)
+        document["spatial_index"] = section
+        document["envelope"]["checksums"]["spatial_index"] = (
+            _section_crc(section) + (0 if section_crc_intact else 1)
+        )
         path.write_text(json.dumps(document))
-        report = verify_cube_file(path)
-        spatial_audits = [s for s in report.sections if s.section == "spatial_index"]
-        assert spatial_audits and not spatial_audits[0].ok
-        assert spatial_audits[0].code == TAB508_SPATIAL_CORRUPT
-        restored = load_cube(path, rides_small)
-        assert restored.last_load_report.spatial_index_rebuilt  # recoverable, never fatal
+
+        restored = load_cube(path, rides_tiny, on_corruption="raise")
+        assert verify_cube_file(path).ok
+        assert restored.store.content_digest() == fresh.store.content_digest()
         geom = BBox(0.0, 0.0, 0.5, 0.5)
-        result = restored.query({"payment_type": "cash"}, geometry=geom)
-        expected = cube.query({"payment_type": "cash"}, geometry=geom)
-        assert result.sample.to_pydict() == expected.sample.to_pydict()
+        expected = fresh.query({"payment_type": "cash"}, geometry=geom)
+        loaded = restored.query({"payment_type": "cash"}, geometry=geom)
+        assert loaded.sample.to_pydict() == expected.sample.to_pydict()
+        assert loaded.guarantee is expected.guarantee

@@ -1,17 +1,18 @@
-"""Property-based spatial oracle suite (``-m spatial``).
+"""Property-based spatial suite (``-m spatial``).
 
-Every index backend must return *exactly* the rows the brute-force
-mask selects — including the adversarial corners an index is most
-likely to get wrong:
+The exact mask is the only spatial filter, so the properties pin the
+mask itself and :func:`~repro.core.spatial.filter_table` on the
+adversarial corners:
 
 - degenerate bboxes: zero area (a line, a point) and inverted corners
-  (selects nothing — no silent normalization);
-- points exactly on geometry boundaries (edges, circle rims, polygon
-  edges), where pruning by an ulp loses rows;
-- radius ≈ 0 (down to exactly 0: only the center matches);
+  (selects nothing — no silent normalization); all four edges inclusive;
+- radius ≈ 0 (down to exactly 0: the center always matches);
+- clockwise input normalizes to the counter-clockwise polygon;
 - collinear-vertex polygons, including fully collinear (zero-area)
-  hulls whose carrier line must not leak points beyond the hull;
-- grid vs kd-tree answer identity under all of the above.
+  hulls whose carrier line must not leak points beyond the hull
+  (``mask ⊆ bounds``);
+- ``filter_table`` keeps exactly the masked rows, in order, and hands
+  back the *same* table object when the geometry keeps every row.
 
 Run explicitly (kept out of the default fast tier)::
 
@@ -23,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import spatial
-from repro.core.spatial import BBox, ConvexPolygon, Radius, build_index
+from repro.core.spatial import BBox, ConvexPolygon, Radius, filter_table
+from repro.engine.table import Table
 
 pytestmark = pytest.mark.spatial
 
@@ -106,89 +107,60 @@ def with_boundary_points(points, geometry):
     return list(points) + extra
 
 
-def assert_index_matches_oracle(points, geometry, backend):
+def coordinates(points):
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
-    expected = np.nonzero(geometry.mask(xs, ys))[0]
-    index = build_index(xs, ys, backend=backend)
-    got = index.query(geometry)
-    assert got.tolist() == expected.tolist(), (
-        f"{backend} disagrees with oracle for {geometry!r}: "
-        f"index={got.tolist()} oracle={expected.tolist()}"
-    )
+    return xs, ys
 
 
-class TestIndexEqualsOracle:
+class TestMaskSemantics:
+    @settings(max_examples=200, deadline=None)
+    @given(points=POINTS, bbox=BBOXES)
+    def test_bbox_edges_inclusive_unless_inverted(self, points, bbox):
+        """Corner and edge points are in; an inverted box selects nothing."""
+        xs, ys = coordinates(with_boundary_points(points, bbox))
+        accepted = bbox.mask(xs, ys)
+        if bbox.xmin > bbox.xmax or bbox.ymin > bbox.ymax:
+            assert not accepted.any()
+        else:
+            assert accepted[len(points):].all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(radius=RADII)
+    def test_closed_disk_always_holds_its_center(self, radius):
+        xs, ys = coordinates([(radius.x, radius.y)])
+        assert radius.mask(xs, ys).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=POINTS, polygon=convex_polygons())
+    def test_clockwise_input_is_the_same_polygon(self, points, polygon):
+        xs, ys = coordinates(with_boundary_points(points, polygon))
+        flipped = ConvexPolygon(tuple(reversed(polygon.points)))
+        assert (flipped.mask(xs, ys) == polygon.mask(xs, ys)).all()
+
+
+class TestFilterTableIsTheMask:
     @settings(max_examples=200, deadline=None)
     @given(points=POINTS, geometry=GEOMETRIES)
-    def test_grid_matches_oracle(self, points, geometry):
-        points = with_boundary_points(points, geometry)
-        assert_index_matches_oracle(points, geometry, "grid")
-
-    @settings(max_examples=200, deadline=None)
-    @given(points=POINTS, geometry=GEOMETRIES)
-    def test_kdtree_matches_oracle(self, points, geometry):
-        if not spatial.kdtree_available():
-            pytest.skip("scipy unavailable: no kd-tree backend")
-        points = with_boundary_points(points, geometry)
-        assert_index_matches_oracle(points, geometry, "kdtree")
-
-    @settings(max_examples=150, deadline=None)
-    @given(points=POINTS, geometry=GEOMETRIES)
-    def test_grid_and_kdtree_identical(self, points, geometry):
-        if not spatial.kdtree_available():
-            pytest.skip("scipy unavailable: no kd-tree backend")
-        points = with_boundary_points(points, geometry)
-        xs = np.array([p[0] for p in points], dtype=float)
-        ys = np.array([p[1] for p in points], dtype=float)
-        grid = build_index(xs, ys, backend="grid").query(geometry)
-        kdtree = build_index(xs, ys, backend="kdtree").query(geometry)
-        assert grid.tolist() == kdtree.tolist()
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        points=POINTS,
-        x=COORD,
-        y=COORD,
-        resolution=st.integers(min_value=1, max_value=40),
-    )
-    def test_degenerate_bboxes_any_resolution(self, points, x, y, resolution):
-        """Zero-area and inverted boxes, across grid resolutions."""
-        for geometry in (
-            BBox(x, -2.0, x, 2.0),  # vertical line
-            BBox(-2.0, y, 2.0, y),  # horizontal line
-            BBox(x, y, x, y),  # single point
-            BBox(x + 1.0, y, x, y + 1.0),  # inverted x: empty
-        ):
-            pts = with_boundary_points(points, geometry)
-            xs = np.array([p[0] for p in pts], dtype=float)
-            ys = np.array([p[1] for p in pts], dtype=float)
-            expected = np.nonzero(geometry.mask(xs, ys))[0]
-            index = build_index(xs, ys, backend="grid", resolution=resolution)
-            assert index.query(geometry).tolist() == expected.tolist()
-
-    @settings(max_examples=100, deadline=None)
-    @given(points=POINTS, geometry=GEOMETRIES)
-    def test_state_round_trip_preserves_answers(self, points, geometry):
-        points = with_boundary_points(points, geometry)
-        xs = np.array([p[0] for p in points], dtype=float)
-        ys = np.array([p[1] for p in points], dtype=float)
-        index = build_index(xs, ys, backend="grid")
-        restored = spatial.index_from_state(xs, ys, index.state())
-        assert restored.query(geometry).tolist() == index.query(geometry).tolist()
+    def test_keeps_exactly_the_masked_rows_in_order(self, points, geometry):
+        xs, ys = coordinates(with_boundary_points(points, geometry))
+        table = Table.from_pydict(
+            {"pickup_x": xs.tolist(), "pickup_y": ys.tolist(), "row": list(range(xs.size))}
+        )
+        expected = np.nonzero(geometry.mask(xs, ys))[0]
+        filtered, covers_all = filter_table(table, geometry)
+        assert filtered.to_pydict()["row"] == expected.tolist()
+        assert covers_all == (expected.size == xs.size)
+        assert (filtered is table) == covers_all
 
 
 class TestMaskBoundsInvariant:
-    """``mask ⊆ bounds`` is what makes prune-then-mask exact."""
+    """No geometry accepts a point outside its own bounding box."""
 
     @settings(max_examples=200, deadline=None)
     @given(points=POINTS, geometry=GEOMETRIES)
     def test_no_accepted_point_outside_bounds(self, points, geometry):
-        points = with_boundary_points(points, geometry)
-        if not points:
-            return
-        xs = np.array([p[0] for p in points], dtype=float)
-        ys = np.array([p[1] for p in points], dtype=float)
+        xs, ys = coordinates(with_boundary_points(points, geometry))
         accepted = geometry.mask(xs, ys)
         xmin, ymin, xmax, ymax = geometry.bounds()
         inside_bounds = (xs >= xmin) & (xs <= xmax) & (ys >= ymin) & (ys <= ymax)
