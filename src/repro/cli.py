@@ -13,13 +13,13 @@ Usage (``python -m repro.cli <command>``):
   answers);
 - ``ingest`` — stream a CSV into a running ``serve --ingest`` server,
   honoring typed backpressure;
-- ``bench cube`` / ``bench query`` / ``bench serving`` /
-  ``bench ingest`` — reproducible benchmarks emitting machine-readable
-  ``BENCH_*.json`` documents;
 - ``sql`` — execute SQL statements against a CSV-backed session;
 - ``lint`` — run the static analyzer over SQL files or inline text;
 - ``check`` — run the concurrency/resource-lifecycle static analyzer
   (TAB600-range) over this repo's Python sources.
+
+Benchmarks are not a CLI command: ``python3 perf/run.py`` is the
+benchmark of record (``perf/README.md``).
 """
 
 from __future__ import annotations
@@ -206,172 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="print failures only"
     )
     verify.set_defaults(handler=cmd_cube_verify)
-
-    bench = commands.add_parser(
-        "bench", help="run reproducible benchmarks, emit machine-readable JSON"
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    bench_cube = bench_commands.add_parser(
-        "cube",
-        help="time cube construction (workers=1 baseline vs --workers) and "
-        "record quality invariants",
-    )
-    bench_cube.add_argument("--rows", type=int, default=20_000)
-    bench_cube.add_argument("--seed", type=int, default=0)
-    bench_cube.add_argument("--workers", type=int, default=4)
-    bench_cube.add_argument("--partitions", type=int, default=16)
-    bench_cube.add_argument("--theta", type=float, default=0.05)
-    bench_cube.add_argument(
-        "--attrs",
-        default="payment_type,rate_code,passenger_count",
-        help="comma-separated cubed attributes of the synthetic table",
-    )
-    bench_cube.add_argument("--loss", default="mean_loss")
-    bench_cube.add_argument("--target", default="fare_amount")
-    bench_cube.add_argument("--out", default="BENCH_cube_init.json")
-    bench_cube.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if quality invariants drift (digest mismatch "
-        "between worker counts, θ-bound violation)",
-    )
-    bench_cube.set_defaults(handler=cmd_bench_cube)
-    bench_query = bench_commands.add_parser(
-        "query", help="time the dashboard query path over a random workload"
-    )
-    bench_query.add_argument("--rows", type=int, default=20_000)
-    bench_query.add_argument("--seed", type=int, default=0)
-    bench_query.add_argument("--workers", type=int, default=1)
-    bench_query.add_argument("--queries", type=int, default=100)
-    bench_query.add_argument("--theta", type=float, default=0.05)
-    bench_query.add_argument(
-        "--attrs", default="payment_type,rate_code,passenger_count"
-    )
-    bench_query.add_argument("--loss", default="mean_loss")
-    bench_query.add_argument("--target", default="fare_amount")
-    bench_query.add_argument("--out", default="BENCH_query.json")
-    bench_query.add_argument(
-        "--clients",
-        type=int,
-        default=1,
-        help="concurrent client threads draining the workload against "
-        "one shared cube (1 = the classic serial loop)",
-    )
-    bench_query.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="B",
-        help="also replay the workload through query_many in batches of B "
-        "(the dashboard viewport fetch) and record throughput vs the "
-        "single-query loop plus an answers-match equivalence bit",
-    )
-    bench_query.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on invariant drift (θ-bound violation, any "
-        "VOID answer, or batched answers diverging from single-query "
-        "answers under --batch)",
-    )
-    bench_query.set_defaults(handler=cmd_bench_query)
-    bench_serving = bench_commands.add_parser(
-        "serving",
-        help="drive the serving gateway through a steady and an "
-        "overloaded phase; records throughput, shed rate and the p99 tail",
-    )
-    bench_serving.add_argument("--rows", type=int, default=20_000)
-    bench_serving.add_argument("--seed", type=int, default=0)
-    bench_serving.add_argument("--queries", type=int, default=200)
-    bench_serving.add_argument("--theta", type=float, default=0.05)
-    bench_serving.add_argument(
-        "--attrs", default="payment_type,rate_code,passenger_count"
-    )
-    bench_serving.add_argument("--loss", default="mean_loss")
-    bench_serving.add_argument("--target", default="fare_amount")
-    bench_serving.add_argument(
-        "--workers", type=int, default=2, help="gateway workers in the overload phase"
-    )
-    bench_serving.add_argument(
-        "--queue-depth", type=int, default=4, help="admission bound in the overload phase"
-    )
-    bench_serving.add_argument(
-        "--clients", type=int, default=16, help="concurrent clients in the overload phase"
-    )
-    bench_serving.add_argument(
-        "--deadline", type=float, default=None, help="per-request deadline in seconds"
-    )
-    bench_serving.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="N > 0 adds sharded-tier phases: single-shard vs N-shard "
-        "throughput plus a chaos phase that SIGKILLs a worker under load "
-        "and measures degradation + recovery",
-    )
-    bench_serving.add_argument(
-        "--workload",
-        choices=("cells", "viewport"),
-        default="cells",
-        help="'cells' drives random cube-cell queries (default); 'viewport' "
-        "drives zoom-level map sessions with per-query bbox geometries and "
-        "adds an oracle-replayed 'viewport' section to the document",
-    )
-    bench_serving.add_argument("--out", default="BENCH_serving.json")
-    bench_serving.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if the accounting invariants break (requests "
-        "lost/double-counted, malformed outcomes); rates are never gated",
-    )
-    bench_serving.set_defaults(handler=cmd_bench_serving)
-    bench_ingest = bench_commands.add_parser(
-        "ingest",
-        help="drive the streaming-ingest pipeline under concurrent queries; "
-        "records throughput, backpressure accounting and a WAL-replay "
-        "recovery digest check",
-    )
-    bench_ingest.add_argument("--rows", type=int, default=20_000)
-    bench_ingest.add_argument("--seed", type=int, default=0)
-    bench_ingest.add_argument("--theta", type=float, default=0.05)
-    bench_ingest.add_argument(
-        "--attrs", default="payment_type,rate_code,passenger_count"
-    )
-    bench_ingest.add_argument("--loss", default="mean_loss")
-    bench_ingest.add_argument("--target", default="fare_amount")
-    bench_ingest.add_argument(
-        "--batches", type=int, default=30, help="micro-batches to stream in"
-    )
-    bench_ingest.add_argument(
-        "--batch-rows", type=int, default=50, help="rows per micro-batch"
-    )
-    bench_ingest.add_argument(
-        "--writers", type=int, default=2, help="concurrent submit threads"
-    )
-    bench_ingest.add_argument(
-        "--query-clients",
-        type=int,
-        default=2,
-        help="concurrent query threads reading the cube during ingest",
-    )
-    bench_ingest.add_argument(
-        "--queries", type=int, default=80, help="distinct workload queries"
-    )
-    bench_ingest.add_argument(
-        "--maintain-delay",
-        type=float,
-        default=0.0,
-        help="artificial per-batch maintainer delay (backpressure/staleness "
-        "drills only; keep 0 for throughput numbers)",
-    )
-    bench_ingest.add_argument("--out", default="BENCH_ingest.json")
-    bench_ingest.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if robustness invariants break (submission "
-        "accounting, untyped failures, queue bound, watermark catch-up, "
-        "recovery digest); rates are never gated",
-    )
-    bench_ingest.set_defaults(handler=cmd_bench_ingest)
 
     sql = commands.add_parser("sql", help="run SQL statements against a CSV table")
     sql.add_argument("--table", required=True, help="CSV file registered as its basename")
@@ -659,180 +493,6 @@ def cmd_cube_verify(args) -> int:
         return 0
     print(f"verdict: CORRUPT ({len(report.failures)} section(s) failed)")
     return 1
-
-
-def _bench_settings(args):
-    from repro.bench.cube_bench import BenchSettings
-
-    return BenchSettings(
-        num_rows=args.rows,
-        seed=args.seed,
-        attrs=tuple(args.attrs.split(",")),
-        loss_name=args.loss,
-        target=tuple(args.target.split(",")),
-        theta=args.theta,
-        partitions=getattr(args, "partitions", 16),
-    )
-
-
-def cmd_bench_cube(args) -> int:
-    from repro.bench.cube_bench import bench_cube, check_cube_doc, write_bench_doc
-
-    doc = bench_cube(_bench_settings(args), workers=args.workers)
-    write_bench_doc(doc, args.out)
-    print(
-        f"wrote {args.out}: serial {format_seconds(doc['serial']['wall_seconds'])}, "
-        f"workers={args.workers} {format_seconds(doc['parallel']['wall_seconds'])}, "
-        f"speedup {doc['speedup_vs_serial']:.2f}x (recorded, not gated), "
-        f"digests {'equal' if doc['digests_equal'] else 'DIFFER'}"
-    )
-    for side in ("serial", "parallel"):
-        for stage, execution in (doc[side].get("execution") or {}).items():
-            if execution and execution.get("fallback_kind") == "error":
-                print(
-                    f"WARNING: {side} {stage} fell back to inline execution: "
-                    f"{execution.get('fallback_reason')}",
-                    file=sys.stderr,
-                )
-    if args.check:
-        failures = check_cube_doc(doc)
-        for failure in failures:
-            print(f"invariant drift: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-    return 0
-
-
-def cmd_bench_query(args) -> int:
-    from repro.bench.cube_bench import bench_query, check_query_doc, write_bench_doc
-
-    doc = bench_query(
-        _bench_settings(args),
-        workers=args.workers,
-        num_queries=args.queries,
-        clients=args.clients,
-        batch_size=args.batch,
-    )
-    write_bench_doc(doc, args.out)
-    lat = doc["latency_seconds"]
-    print(
-        f"wrote {args.out}: {doc['num_queries']} queries, clients={doc['clients']}, "
-        f"mean {format_seconds(lat['mean'])}, p95 {format_seconds(lat['p95'])}, "
-        f"p99 {format_seconds(lat['p99'])}, sources {doc['source_mix']}"
-    )
-    batch = doc.get("batch")
-    if batch:
-        print(
-            f"batch={batch['batch_size']}: "
-            f"{batch['batch_throughput_qps']:.0f} q/s batched vs "
-            f"{batch['single_throughput_qps']:.0f} q/s single "
-            f"({batch['speedup_vs_single']:.2f}x), answers "
-            f"{'match' if batch['answers_match_single'] else 'DIVERGE'}"
-        )
-    if args.check:
-        failures = check_query_doc(doc)
-        for failure in failures:
-            print(f"invariant drift: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-    return 0
-
-
-def cmd_bench_serving(args) -> int:
-    from repro.bench.cube_bench import bench_serving, check_serving_doc, write_bench_doc
-
-    settings = _bench_settings(args)
-    doc = bench_serving(
-        settings,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        clients=args.clients,
-        num_queries=args.queries,
-        deadline_seconds=args.deadline,
-        shards=args.shards,
-        workload=args.workload,
-    )
-    write_bench_doc(doc, args.out)
-    overload = doc["phases"]["overload"]
-    print(
-        f"wrote {args.out}: overload {overload['offered']} requests via "
-        f"{overload['clients']} clients -> {overload['served']} served, "
-        f"{overload['shed']} shed ({overload['shed_rate']:.0%}), "
-        f"p99 {format_seconds(overload['latency_seconds']['p99'])}, "
-        f"{overload['throughput_rps']:.0f} req/s"
-    )
-    viewport = doc.get("viewport")
-    if viewport:
-        zmin, zmax = viewport["zoom_range"]
-        print(
-            f"viewport: {viewport['offered']} requests over zooms {zmin}..{zmax}, "
-            f"{viewport['spatial_filtered_answers']} spatially filtered "
-            f"({viewport['strict_subset_answers']} strict subsets), "
-            f"{len(viewport['oracle_mismatches'])} oracle mismatches, "
-            f"{len(viewport['rows_outside_viewport'])} containment breaks, "
-            f"{len(viewport['certified_violations'])} certified violations"
-        )
-    sharded = doc.get("sharded")
-    if sharded:
-        gate = sharded["scaling_gate"]
-        chaos = sharded["phases"]["chaos"]
-        recovery = sharded["recovery"]
-        print(
-            f"sharded: {sharded['shards']} shards "
-            f"{sharded['speedup_vs_single_shard']:.2f}x vs 1 shard "
-            f"({'gated' if gate['enforced'] else 'gate skipped: ' + gate['reason']}); "
-            f"chaos killed shard {chaos['killed_shard']}: "
-            f"{chaos['downgraded']} downgraded / {chaos['offered']} offered, "
-            f"{len(chaos['errors'])} errors, recovered="
-            f"{recovery['recovered']} in {recovery['recovery_seconds']:.1f}s"
-        )
-    if args.check:
-        failures = check_serving_doc(doc)
-        for failure in failures:
-            print(f"invariant drift: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-    return 0
-
-
-def cmd_bench_ingest(args) -> int:
-    from repro.bench.cube_bench import write_bench_doc
-    from repro.bench.ingest_bench import bench_ingest, check_ingest_doc
-
-    doc = bench_ingest(
-        _bench_settings(args),
-        batches=args.batches,
-        batch_rows=args.batch_rows,
-        writers=args.writers,
-        query_clients=args.query_clients,
-        num_queries=args.queries,
-        maintain_delay_seconds=args.maintain_delay,
-    )
-    write_bench_doc(doc, args.out)
-    ingest = doc["ingest"]
-    recovery = doc["recovery"]
-    gate = doc["latency_gate"]
-    print(
-        f"wrote {args.out}: {ingest['rows_ingested']} rows in "
-        f"{format_seconds(ingest['submit_wall_seconds'])} "
-        f"({ingest['durable_rows_per_second']:.0f} rows/s durable), "
-        f"{ingest['backpressure_retries']} backpressure retries, "
-        f"applied caught up in {format_seconds(ingest['applied_catchup_seconds'])}, "
-        f"max staleness {ingest['max_staleness_batches']} batch(es)"
-    )
-    print(
-        f"query p99 idle {format_seconds(doc['idle']['latency_seconds']['p99'])} vs "
-        f"under ingest {format_seconds(ingest['latency_seconds']['p99'])} "
-        f"({'gated' if gate['enforced'] else 'gate skipped: ' + gate['reason']}); "
-        f"recovery digests {'equal' if recovery['digests_equal'] else 'DIFFER'}"
-    )
-    if args.check:
-        failures = check_ingest_doc(doc)
-        for failure in failures:
-            print(f"invariant drift: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-    return 0
 
 
 def cmd_ingest(args) -> int:

@@ -114,8 +114,8 @@ class PoolExecution:
 
     ``fallback_kind`` distinguishes a *planned* inline run (one worker
     requested, or nothing to fan out — not a degradation) from an
-    *error* fallback (a pool was wanted but unusable), which the bench
-    ``--check`` gate treats as a failed parallel run.
+    *error* fallback (a pool was wanted but unusable), which tier-1
+    treats as a failed parallel run.
     """
 
     requested_workers: int
@@ -358,8 +358,8 @@ def _map_with_pool(
     except (pickle.PicklingError, TypeError, AttributeError, OSError, ImportError) as exc:
         # Unpicklable loss under spawn, fd exhaustion, restricted
         # environments: degrade to the identical in-process path — but
-        # never silently. The execution record marks the run degraded
-        # and `repro bench cube --check` fails on it.
+        # never silently: the execution record marks the run degraded,
+        # and tier-1 asserts that a healthy build's record is not.
         reason = f"{type(exc).__name__}: {exc}"
         _LOG.warning(
             "parallel engine fell back to in-process execution "

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.loss.heatmap import HeatmapLoss
 from repro.core.loss.mean import MeanLoss
-from repro.core.tabula import Tabula, TabulaConfig
+from repro.core.tabula import GuaranteeStatus, Tabula, TabulaConfig
 from repro.engine.cube import CubeCells
 from repro.engine.expressions import Comparison, Equals
 from repro.errors import CubeNotInitializedError, InvalidQueryError, UnknownColumnError
@@ -72,6 +72,7 @@ class TestGuarantee:
                 attr: value for attr, value in zip(ATTRS, key) if value is not None
             }
             result = tabula.query(query)
+            assert result.guarantee is GuaranteeStatus.CERTIFIED, key
             raw = values[cube.cell_indices(key)]
             sample = loss.extract(result.sample)
             assert loss.loss(raw, sample) <= theta + 1e-12, key

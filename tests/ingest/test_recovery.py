@@ -126,15 +126,18 @@ class TestKillAtEveryPoint:
         ref_rows, ref_digest = reference
         wal_path = tmp_path / "ingest.wal"
         journal_path = tmp_path / "maintenance.journal"
-        live = StreamIngestor(build(rides_tiny), wal_path, journal_path)
+        live_cube = build(rides_tiny)
+        live = StreamIngestor(live_cube, wal_path, journal_path)
         for i in range(NUM_BATCHES):
             assert live.submit(batch(delta, i), seed=seed_of(i)).accepted
         assert live.wait_applied(timeout=20.0)
         live.close(timeout=10.0)
+        assert live_cube.store.content_digest() == ref_digest
 
         fresh = build(rides_tiny)
         first = recover_ingest(fresh, wal_path, journal_path)
         assert first.reapplied_batches + first.replayed_plans == NUM_BATCHES
+        assert first.dropped_wal_lines == 0  # no crash, so no torn tail
         again = recover_ingest(fresh, wal_path, journal_path)
         assert again.reapplied_batches == again.replayed_plans == 0
         assert again.skipped_batches == NUM_BATCHES

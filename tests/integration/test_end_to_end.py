@@ -69,13 +69,18 @@ class TestPaperShapes:
         star = TabulaApproach(rides, loss, 0.02, ATTRS, sample_selection=False, seed=0)
         assert tabula.initialize().memory_bytes <= star.initialize().memory_bytes
 
-    def test_poisam_between_samfirst_and_samfly_in_time(self, rides, workload):
+    def test_poisam_pays_for_its_presample_in_accuracy(self, rides, workload):
+        """POIsam samples a random pre-sample, not the population: it keeps
+        no hard bound and lands above SamFly's loss (Figure 11b). The time
+        it buys is a figure (benchmarks/bench_fig14_mean.py), not an
+        assertion — at test scale the two differ by scheduler noise."""
         loss = MeanLoss("fare_amount")
         poisam = POIsam(rides, loss, 0.08, seed=0)
         samfly = SampleOnTheFly(rides, loss, 0.08, seed=0)
-        p = run_workload(poisam, rides, list(workload), loss, measure_loss=False)
-        s = run_workload(samfly, rides, list(workload), loss, measure_loss=False)
-        assert p.data_system.mean <= s.data_system.mean * 1.5
+        p = run_workload(poisam, rides, list(workload), loss)
+        s = run_workload(samfly, rides, list(workload), loss)
+        assert s.actual_loss.maximum <= 0.08 + 1e-9
+        assert p.actual_loss.mean > s.actual_loss.mean
 
 
 class TestFigure2Story:

@@ -214,114 +214,14 @@ class TestBuildWorkers:
             self._build(rides_csv, tmp_path / "cube.json", ["--workers", "0"])
 
 
-class TestBench:
-    def test_bench_cube_emits_json_and_passes_check(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_cube_init.json"
-        code = main(
-            [
-                "bench", "cube",
-                "--rows", "1200",
-                "--workers", "2",
-                "--out", str(out),
-                "--check",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 6
-        assert doc["digests_equal"] is True
-        assert doc["serial"]["phases"]["dry_run_seconds"] >= 0
-        assert doc["parallel"]["invariants"]["loss_bound_ok"] is True
-        assert "speedup" in capsys.readouterr().out
-
-    def test_bench_query_emits_json_and_passes_check(self, tmp_path):
-        out = tmp_path / "BENCH_query.json"
-        code = main(
-            [
-                "bench", "query",
-                "--rows", "1200",
-                "--queries", "20",
-                "--out", str(out),
-                "--check",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["num_queries"] == 20
-        assert doc["void_answers"] == 0
-        assert set(doc["latency_seconds"]) >= {"mean", "p50", "p95", "p99"}
-        assert doc["clients"] == 1
-
-    def test_bench_cube_check_fails_on_drift(self, tmp_path):
-        from repro.bench.cube_bench import check_cube_doc
-
-        healthy = {
-            "digests_equal": True,
-            "serial": {"invariants": {"loss_bound_ok": True, "iceberg_cells": 3}},
-            "parallel": {"invariants": {"loss_bound_ok": True, "iceberg_cells": 3}},
-        }
-        assert check_cube_doc(healthy) == []
-        drifted = {
-            "digests_equal": False,
-            "serial": {"invariants": {"loss_bound_ok": True, "iceberg_cells": 3}},
-            "parallel": {"invariants": {"loss_bound_ok": False, "iceberg_cells": 4}},
-        }
-        failures = check_cube_doc(drifted)
-        assert len(failures) == 3
-
-
-class TestBenchServing:
-    def test_emits_json_and_passes_check(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_serving.json"
-        code = main(
-            [
-                "bench", "serving",
-                "--rows", "1500",
-                "--queries", "40",
-                "--clients", "8",
-                "--workers", "2",
-                "--queue-depth", "3",
-                "--out", str(out),
-                "--check",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 6
-        assert doc["bench"] == "serving"
-        assert set(doc["phases"]) == {"steady", "overload"}
-        overload = doc["phases"]["overload"]
-        assert overload["offered"] == 40
-        assert sum(overload["outcomes"].values()) == 40
-        assert overload["served"] + overload["shed"] == 40
-        assert "p99" in overload["latency_seconds"]
-        assert "shed" in capsys.readouterr().out
-
-    def test_check_fails_on_lost_requests(self):
-        from repro.bench.cube_bench import check_serving_doc
-
-        broken = {
-            "phases": {
-                "overload": {
-                    "offered": 10,
-                    "outcomes": {"ok": 4, "shed": 5},  # one request lost
-                    "served": 4,
-                    "shed": 5,
-                }
-            }
-        }
-        assert any("lost" in f for f in check_serving_doc(broken))
-        healthy = {
-            "phases": {
-                "overload": {
-                    "offered": 10,
-                    "outcomes": {"ok": 5, "shed": 5},
-                    "served": 5,
-                    "shed": 5,
-                }
-            }
-        }
-        assert check_serving_doc(healthy) == []
+class TestBenchCommandIsGone:
+    def test_bench_is_not_a_subcommand(self, capsys):
+        """``perf/run.py`` is the benchmark of record; a stale doc or script
+        line that still invokes the old subcommand must fail loudly."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "cube"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestServeCommand:
