@@ -35,7 +35,7 @@ def test_ablation_cost_model(benchmark, small_rides):
         # would otherwise dominate and mask the difference.
         started = time.perf_counter()
         result = real_run(
-            small_rides, dry, loss, np.random.default_rng(1),
+            small_rides, dry, loss, seed=1,
             force_strategy=strategy, skip_sampling=True,
         )
         return time.perf_counter() - started, result

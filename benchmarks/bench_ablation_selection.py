@@ -34,7 +34,7 @@ def test_ablation_sample_selection_and_join(benchmark, small_rides):
     loss = HistogramLoss("fare_amount")
     global_sample = draw_global_sample(small_rides, np.random.default_rng(0))
     dry = dry_run(small_rides, ATTRS, loss, THETA, global_sample)
-    real = real_run(small_rides, dry, loss, np.random.default_rng(1))
+    real = real_run(small_rides, dry, loss, seed=1)
     # Cap the pairwise-join input so the brute-force arm stays tractable.
     cells = real.cells[:150]
 

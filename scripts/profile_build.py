@@ -30,7 +30,6 @@ def main() -> int:
     parser.add_argument("--rows", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--partitions", type=int, default=16)
     parser.add_argument("--theta", type=float, default=0.1)
     parser.add_argument("--top", type=int, default=40,
                         help="rows of the text report")
@@ -49,7 +48,6 @@ def main() -> int:
             cubed_attrs=("passenger_count", "payment_type"),
             threshold=args.theta,
             loss=MeanLoss("fare_amount"),
-            partitions=args.partitions,
             seed=args.seed,
         ),
     )
@@ -76,7 +74,7 @@ def main() -> int:
     print(f"profiled initialize(workers={args.workers}) over {args.rows} rows")
     for stage, execution in executions:
         if execution is None:
-            print(f"  {stage}: no execution record (serial path)")
+            print(f"  {stage}: no execution record (nothing fanned out)")
             continue
         print(
             f"  {stage}: mode={execution.mode} "

@@ -88,15 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel build with N worker processes (bit-identical to "
-        "--workers 1 for any N); default: classic serial build",
-    )
-    build.add_argument(
-        "--partitions",
-        type=int,
-        default=16,
-        help="dry-run partition grid size (fixed per table, independent "
-        "of --workers, so partial sums merge identically)",
+        help="run the build's partition map and cell sampling on N worker "
+        "processes (bit-identical for any N); default: in this process",
     )
     build.set_defaults(handler=cmd_build)
 
@@ -283,7 +276,6 @@ def cmd_build(args) -> int:
             threshold=args.theta,
             loss=loss,
             seed=args.seed,
-            partitions=args.partitions,
         ),
     )
     report = tabula.initialize(

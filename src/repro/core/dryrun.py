@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,11 @@ from repro.resilience.faults import fault_point, register_fault_point
 FP_DRYRUN_DONE = register_fault_point(
     "init.dryrun.done", "dry run derived every cuboid, result not yet returned"
 )
+
+#: One partition's base-cell accumulators: ``[(base key, loss stats)]``.
+PartitionStats = List[Tuple[Tuple, tuple]]
+#: ``(table, attrs, loss, sample_values, tasks) -> (results, execution)``.
+PartitionMap = Callable[..., Tuple[Sequence[PartitionStats], Optional[object]]]
 
 
 @dataclass
@@ -62,9 +67,9 @@ class DryRunResult:
     seconds: float = 0.0
     #: number of full raw-table passes performed (should stay 1).
     raw_table_passes: int = 1
-    #: how the parallel engine actually executed this stage
-    #: (:class:`repro.core.parallel.PoolExecution`); ``None`` for the
-    #: serial path, which never fans out.
+    #: what the partition map reported about how it ran
+    #: (:class:`repro.core.parallel.PoolExecution` for a ``workers=``
+    #: build); ``None`` for the default in-process map.
     execution: Optional[object] = None
 
     @property
@@ -104,13 +109,11 @@ def derive_cuboids(
 ) -> CuboidDerivation:
     """Derive every cuboid from base-cell statistics (no raw-data access).
 
-    Shared by the serial dry run (which feeds it the full-table GroupBy)
-    and the parallel engine (which feeds it merged per-partition
-    accumulators). ``key_codes`` is the ``(G, len(attrs))`` physical
-    code matrix of the base cells; it only steers the grouping of the
-    additive fast path, so any encoding that separates distinct keys is
-    correct — but the *order* of ``base_keys`` fixes merge order and
-    therefore must itself be deterministic for reproducible builds.
+    ``key_codes`` is the ``(G, len(attrs))`` physical code matrix of
+    the base cells; it only steers the grouping of the additive fast
+    path, so any encoding that separates distinct keys is correct — but
+    the *order* of ``base_keys`` fixes merge order and therefore must
+    itself be deterministic for reproducible builds.
     """
     iceberg_stats: Dict[CellKey, tuple] = {}
     iceberg_by_cuboid: Dict[Tuple[str, ...], List[CellKey]] = {}
@@ -174,14 +177,155 @@ def derive_cuboids(
     )
 
 
-def result_from_derivation(
+def partition_bounds(num_rows: int, partitions: int) -> List[Tuple[int, int]]:
+    """Contiguous near-equal row ranges covering ``[0, num_rows)``.
+
+    Deterministic in ``(num_rows, partitions)`` alone. When
+    ``partitions > num_rows`` the tail ranges are empty — legal: an
+    empty partition contributes the merge identity (no accumulators)
+    and is filtered out before the map so no worker receives one.
+    """
+    if partitions < 1:
+        raise ValueError(f"partitions must be >= 1, got {partitions}")
+    if num_rows < 0:
+        raise ValueError(f"num_rows must be >= 0, got {num_rows}")
+    base, remainder = divmod(num_rows, partitions)
+    bounds: List[Tuple[int, int]] = []
+    lo = 0
+    for i in range(partitions):
+        hi = lo + base + (1 if i < remainder else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+def partition_stats(
+    table: Table,
     attrs: Tuple[str, ...],
+    loss: LossFunction,
+    sample_values: np.ndarray,
+    bounds: Tuple[int, int],
+) -> PartitionStats:
+    """One partition's mergeable accumulators: ``[(base key, stats)]``.
+
+    The partition is a zero-copy ``slice`` view of the (possibly
+    shared-memory) table — no rows are materialized.
+    """
+    chunk = table.slice(*bounds)
+    values = loss.extract(chunk)
+    groups = group_rows(chunk, attrs)
+    return [
+        (groups.decode_key(g), loss.stats(values[idx], sample_values))
+        for g, idx in enumerate(groups.group_indices)
+    ]
+
+
+def merge_partition_stats(
+    loss: LossFunction, partition_results: Sequence[PartitionStats]
+) -> Dict[Tuple, tuple]:
+    """Fold per-partition base-cell accumulators together, in grid order.
+
+    Empty partitions (no pairs) are the merge identity. The returned
+    mapping's insertion order is first-appearance order across the grid;
+    :func:`dry_run` re-sorts it by physical key codes.
+
+    Additive losses take a vectorized path: all accumulator rows are
+    stacked and folded per key with ``np.add.at``, which is unbuffered
+    and applies updates in row order — the summation order is exactly
+    the grid-order Python fold's, so the result stays deterministic and
+    independent of whatever executed the map.
+    """
+    if loss.additive_stats:
+        keys: List[Tuple] = []
+        index_of: Dict[Tuple, int] = {}
+        ids: List[int] = []
+        rows: List[tuple] = []
+        for pairs in partition_results:
+            for key, stats in pairs:
+                gid = index_of.get(key)
+                if gid is None:
+                    gid = len(keys)
+                    index_of[key] = gid
+                    keys.append(key)
+                ids.append(gid)
+                rows.append(stats)
+        if not keys:
+            return {}
+        matrix = np.asarray(rows, dtype=float)
+        sums = np.zeros((len(keys), matrix.shape[1]))
+        np.add.at(sums, np.asarray(ids, dtype=np.intp), matrix)
+        return {key: tuple(sums[g]) for g, key in enumerate(keys)}
+    merged: Dict[Tuple, tuple] = {}
+    for pairs in partition_results:
+        for key, stats in pairs:
+            previous = merged.get(key)
+            merged[key] = stats if previous is None else loss.merge_stats(previous, stats)
+    return merged
+
+
+def _map_inline(table, attrs, loss, sample_values, tasks):
+    return [partition_stats(table, attrs, loss, sample_values, b) for b in tasks], None
+
+
+def dry_run(
+    table: Table,
+    attrs: Sequence[str],
+    loss: LossFunction,
     threshold: float,
-    derived: CuboidDerivation,
-    seconds: float,
-    execution: Optional[object] = None,
+    global_sample: GlobalSample,
+    partitions: int = 1,
+    map_partitions: PartitionMap = _map_inline,
 ) -> DryRunResult:
-    """Assemble the lattice and package a :class:`DryRunResult`."""
+    """Identify every iceberg cell with a single raw-table pass.
+
+    The table is cut into ``partitions`` contiguous row ranges
+    (:func:`partition_bounds`); each contributes its base cells'
+    sufficient statistics (:func:`partition_stats`), which are folded
+    together **in grid order**, put in canonical base-cell order
+    (physical key codes — the order of a full-table GroupBy) and merged
+    upward through the lattice by :func:`derive_cuboids`. The result is
+    a function of ``(table, attrs, loss, threshold, global_sample,
+    partitions)`` only. One partition — the default — is the paper's
+    single base-cuboid GroupBy; a larger grid exists so
+    ``map_partitions`` can spread the pass over a worker pool
+    (:func:`repro.core.parallel.parallel_dry_run`), and may differ from
+    it in the last ulp of a float sum (reassociation), never in more.
+
+    ``map_partitions(table, attrs, loss, sample_values, tasks)`` returns
+    ``(per-task partition_stats in task order, execution record)``; the
+    default maps in-process and records nothing.
+    """
+    started = time.perf_counter()
+    attrs = tuple(attrs)
+    table.schema.require(attrs)
+
+    sample_values = loss.extract(global_sample.table)
+    sample_summary = loss.prepare_sample(sample_values)
+
+    # Empty partitions are the merge identity; never hand one out.
+    tasks = [b for b in partition_bounds(table.num_rows, partitions) if b[1] > b[0]]
+    partition_results, execution = map_partitions(table, attrs, loss, sample_values, tasks)
+    merged = merge_partition_stats(loss, partition_results)
+
+    # Canonical base order, whatever the grid: np.unique over code rows.
+    columns = [table.column(a) for a in attrs]
+    codes = {
+        key: tuple(int(col.encode(v)) for col, v in zip(columns, key)) for key in merged
+    }
+    base_keys: List[Tuple] = sorted(merged, key=codes.__getitem__)
+    key_codes = np.asarray([codes[k] for k in base_keys], dtype=np.int64).reshape(
+        len(base_keys), len(attrs)
+    )
+
+    derived = derive_cuboids(
+        attrs,
+        base_keys,
+        [merged[k] for k in base_keys],
+        key_codes,
+        loss,
+        threshold,
+        sample_summary,
+    )
     nodes = {
         gset: LatticeNode(
             grouping_set=gset,
@@ -190,6 +334,7 @@ def result_from_derivation(
         )
         for gset in grouping_sets(attrs)
     }
+    fault_point(FP_DRYRUN_DONE)
     return DryRunResult(
         attrs=attrs,
         threshold=threshold,
@@ -200,39 +345,7 @@ def result_from_derivation(
         known_cells=frozenset(derived.known),
         cell_losses=derived.cell_losses,
         cell_stats=derived.cell_stats,
-        seconds=seconds,
+        seconds=time.perf_counter() - started,
         raw_table_passes=1,
         execution=execution,
-    )
-
-
-def dry_run(
-    table: Table,
-    attrs: Sequence[str],
-    loss: LossFunction,
-    threshold: float,
-    global_sample: GlobalSample,
-) -> DryRunResult:
-    """Identify every iceberg cell with a single raw-table pass."""
-    started = time.perf_counter()
-    attrs = tuple(attrs)
-    table.schema.require(attrs)
-
-    values = loss.extract(table)
-    sample_values = loss.extract(global_sample.table)
-    sample_summary = loss.prepare_sample(sample_values)
-
-    # Single full-table GroupBy: the base cuboid.
-    base = group_rows(table, attrs)
-    base_keys: List[Tuple] = [base.decode_key(g) for g in range(base.num_groups)]
-    base_stats: List[tuple] = [
-        loss.stats(values[idx], sample_values) for idx in base.group_indices
-    ]
-
-    derived = derive_cuboids(
-        attrs, base_keys, base_stats, base.key_codes, loss, threshold, sample_summary
-    )
-    fault_point(FP_DRYRUN_DONE)
-    return result_from_derivation(
-        attrs, threshold, derived, time.perf_counter() - started
     )

@@ -1,23 +1,26 @@
-"""Parallel cube-construction engine.
+"""The worker-pool executor for cube construction.
 
-Cube initialization is the dominant cost of the whole middleware: a dry
-run over the raw table (Algorithms 1–3's single-pass iceberg lookup)
-followed by greedy sampling of every iceberg cell. Both stages
-decompose cleanly:
+The build pipeline lives in :mod:`repro.core.dryrun` and
+:mod:`repro.core.realrun`; each stage takes the piece of itself that
+decomposes as an argument — the dry run a *partition map*, the real run
+a *sampler*. This module is the ``multiprocessing`` implementation of
+those two hooks, and nothing else: :func:`parallel_dry_run` and
+:func:`parallel_real_run` bind a pool into the stage functions, which
+is all ``Tabula.initialize(workers=N)`` does differently from a plain
+build.
 
 - **Dry run** — the loss functions are algebraic by construction (the
   PR-1 analyzer proves decomposability for compiled losses; built-ins
-  declare it), so the raw table is cut into a *fixed partition grid*
-  and each partition contributes mergeable sufficient-statistic
-  accumulators: per base cell, ``stats(partition ∩ cell, Sam_global)``.
-  The coordinator folds partitions together **in grid order** with
-  ``merge_stats`` and derives the full lattice from the merged base
-  cuboid exactly like the serial dry run.
-- **Real run** — per-iceberg-cell greedy sampling fans out in chunks of
-  cells. Every cell is sampled with its own seeded generator
-  (:func:`repro.resilience.checkpoint.rng_for_cell`), so the drawn
-  sample depends only on ``(seed, cell)`` — never on which worker or
-  chunk ran it or in what order tasks completed.
+  declare it), so ``dry_run`` cuts the raw table into a *fixed partition
+  grid* (:data:`DEFAULT_PARTITIONS`, whatever the worker count) and the
+  pool computes each partition's mergeable accumulators. ``dry_run``
+  folds them together in grid order and derives the lattice.
+- **Real run** — ``real_run`` retrieves every cell on the coordinator
+  and hands the still-unsampled ones over; they fan out in chunks of
+  cells. Each cell is sampled by :func:`repro.core.realrun.sample_cell`
+  from its own ``(seed, cell)`` stream, so the drawn sample never
+  depends on which worker or chunk ran it or in what order tasks
+  completed.
 
 **Zero-copy fan-out.** When a pool is actually used, the large payloads
 travel through one :mod:`multiprocessing.shared_memory` segment
@@ -25,32 +28,30 @@ travel through one :mod:`multiprocessing.shared_memory` segment
 run shares the raw table once (workers carve partitions out of it with
 zero-copy ``Table.slice`` views), and the real run shares the loss
 value vector plus a single concatenated row-index buffer — each
-sampling task is reduced to ``(slot, key, offset, length)``. Per-cell
-index arrays total roughly :math:`2^{n-1}` times the table size across
-cuboids, so shipping them by offset rather than by value is what makes
-``workers=N`` faster than serial at bench scale.
+sampling task is reduced to ``(slot, key, offset, length)``.
 
-**Determinism contract.** The partition grid depends only on the table
-size and the ``partitions`` setting — *not* on ``workers`` — and
-partition accumulators are merged in grid order (the vectorized
-additive merge applies ``np.add.at``, which accumulates unbuffered and
-in order); sampling randomness is per-cell. Consequently a build with
-``workers=4`` is bit-identical to a build with ``workers=1``: same
-iceberg cells, same sample tuples, same representative assignment,
-byte-identical persisted cube. (The equivalence-test suite asserts
-exactly this, including under a mid-build kill/resume.)
+**What is measured.** ``workers=2`` is *slower* than a plain build at
+every size recorded on the 2-core reference box (2.31 vs 1.92 s at 50 k
+rows, ≈ 6.0 vs 4.6 s at 100 k; ``core.parallel.pool_seconds`` 1.83 s,
+13.9 MB through shm): the pool fans out sampling, which is ≈ 6 % of a
+build, while cell retrieval (≈ 77 %) stays on the coordinator. Whether
+this module pays or goes is ROADMAP item 3; deleting it (and
+:mod:`repro.engine.shm`) leaves the stage functions untouched.
 
-Zero-row partitions (possible when ``partitions`` exceeds the table
-size) contribute no accumulators, which is the merge identity — they
-are never shipped to a worker, and the regression tests pin that down.
+**Determinism contract.** Same ``(table, config)`` ⇒ same cube for any
+``workers >= 1``, byte-identical on disk, including under a mid-build
+kill/resume with a different worker count (the equivalence suite
+asserts exactly this). Against a plain build the RNG streams are the
+same too; the only difference is the dry run's grid (1 partition vs 16),
+which may reassociate a float sum in the last ulp.
 
 Worker processes are plain ``multiprocessing`` pools, preferring the
 ``fork`` start method. Where a pool cannot be used (or the loss proves
 unpicklable — e.g. a closure-bearing compiled loss under ``spawn``),
-the engine degrades to in-process execution of the *same* partitioned
-code path, so results never change — only the speedup does. Every
-fan-out reports a :class:`PoolExecution` describing what actually ran;
-silent degradation is a bug the benchmarks now catch.
+the executor degrades to in-process execution of the *same* task
+functions, so results never change. Every fan-out reports a
+:class:`PoolExecution` describing what actually ran; silent degradation
+is a bug the benchmarks catch.
 """
 
 from __future__ import annotations
@@ -58,31 +59,18 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import pickle
-import time
 import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from itertools import chain
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import costmodel
-from repro.core.dryrun import (
-    DryRunResult,
-    derive_cuboids,
-    result_from_derivation,
-)
+from repro.core.dryrun import DryRunResult, dry_run, partition_bounds, partition_stats
 from repro.core.global_sample import GlobalSample
 from repro.core.loss.base import LossFunction
-from repro.core.realrun import (
-    FP_CELL_SAMPLED,
-    FP_CELL_START,
-    IcebergCellEntry,
-    RealRunResult,
-    _adopt_checkpointed,
-    _cuboid_cell_rows,
-)
-from repro.core.sampling import SamplingResult, sample_with_pool
-from repro.engine.cube import CellKey
+from repro.core.realrun import FP_CELL_START, PendingCell, RealRunResult, real_run
 from repro.engine.shm import (
     ArrayPackDescriptor,
     TableDescriptor,
@@ -92,7 +80,6 @@ from repro.engine.shm import (
     share_table,
 )
 from repro.engine.table import Table
-from repro.resilience.checkpoint import rng_for_cell
 from repro.resilience.faults import fault_point
 
 _LOG = logging.getLogger("repro.core.parallel")
@@ -143,32 +130,10 @@ class PoolExecution:
 
 
 def check_workers(workers: int) -> int:
-    """Validate a worker count (used by the engine and the CLI)."""
+    """Validate a worker count (``Tabula.initialize`` and both entry points here)."""
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     return workers
-
-
-def partition_bounds(num_rows: int, partitions: int) -> List[Tuple[int, int]]:
-    """Contiguous near-equal row ranges covering ``[0, num_rows)``.
-
-    Deterministic in ``(num_rows, partitions)`` alone. When
-    ``partitions > num_rows`` the tail ranges are empty — legal: an
-    empty partition contributes the merge identity (no accumulators)
-    and is filtered out before fan-out so no worker receives one.
-    """
-    if partitions < 1:
-        raise ValueError(f"partitions must be >= 1, got {partitions}")
-    if num_rows < 0:
-        raise ValueError(f"num_rows must be >= 0, got {num_rows}")
-    base, remainder = divmod(num_rows, partitions)
-    bounds: List[Tuple[int, int]] = []
-    lo = 0
-    for i in range(partitions):
-        hi = lo + base + (1 if i < remainder else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 def task_chunks(
@@ -195,6 +160,8 @@ def task_chunks(
 # payloads arrive as shared-memory descriptors and are attached as
 # zero-copy views; the inline path passes the objects themselves through
 # the same initializer, so pool and inline execution run identical code.
+# The task functions only unpack that state around the stage modules'
+# own per-partition / per-cell functions.
 # ---------------------------------------------------------------------------
 
 _WORKER_STATE: dict = {}
@@ -218,65 +185,31 @@ def _init_dryrun_worker(table_ref, attrs, loss, sample_values, untrack=True) -> 
 
 
 def _dryrun_partition(bounds: Tuple[int, int]):
-    """One partition's mergeable accumulators: ``[(base key, stats)]``.
-
-    The partition is a zero-copy ``slice`` view of the (possibly
-    shared-memory) table — no rows are materialized.
-    """
-    table, attrs, loss, sample_values = _WORKER_STATE["dryrun"]
-    lo, hi = bounds
-    if hi <= lo:
-        return []
-    from repro.engine.groupby import group_rows
-
-    chunk = table.slice(lo, hi)
-    values = loss.extract(chunk)
-    groups = group_rows(chunk, attrs)
-    return [
-        (groups.decode_key(g), loss.stats(values[groups.group_indices[g]], sample_values))
-        for g in range(groups.num_groups)
-    ]
+    return partition_stats(*_WORKER_STATE["dryrun"], bounds)
 
 
-def _init_sampling_worker(arrays_ref, loss, threshold, seed, lazy, pool_size, untrack=True) -> None:
+def _init_sampling_worker(arrays_ref, draw, untrack=True) -> None:
     if isinstance(arrays_ref, ArrayPackDescriptor):
         arrays, segment = attach_arrays(arrays_ref, untrack=untrack)
         _WORKER_STATE["sampling_segment"] = segment
     else:
         arrays = arrays_ref
-    _WORKER_STATE["sampling"] = (
-        arrays["values"],
-        arrays["idx"],
-        loss,
-        threshold,
-        seed,
-        lazy,
-        pool_size,
-    )
+    _WORKER_STATE["sampling"] = (arrays["values"], arrays["idx"], draw)
 
 
 def _sample_chunk(chunk):
-    """Greedy-sample a chunk of iceberg cells, each with its own RNG.
+    """Sample a chunk of iceberg cells.
 
     ``chunk`` is a list of ``(slot, key, offset, length)``; the row
     indices live at ``idx_all[offset:offset + length]`` in the shared
     index buffer. Returns small ``(slot, SamplingResult)`` pairs — the
-    coordinator owns the raw index arrays and rebuilds full entries.
+    coordinator owns the raw index arrays and builds the entries.
     """
-    values, idx_all, loss, threshold, seed, lazy, pool_size = _WORKER_STATE["sampling"]
-    out = []
-    for slot, key, offset, length in chunk:
-        idx = idx_all[offset : offset + length]
-        result = sample_with_pool(
-            loss,
-            values[idx],
-            threshold,
-            rng_for_cell(seed, key),
-            pool_size=pool_size,
-            lazy=lazy,
-        )
-        out.append((slot, result))
-    return out
+    values, idx_all, draw = _WORKER_STATE["sampling"]
+    return [
+        (slot, draw(cell_values=values[idx_all[offset : offset + length]], key=key))
+        for slot, key, offset, length in chunk
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -387,92 +320,26 @@ def _map_with_pool(
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: partition-parallel dry run
+# The two hooks, and the stage functions with a pool bound in
 # ---------------------------------------------------------------------------
 
 
-def merge_partition_stats(
-    loss: LossFunction,
-    partition_results: Sequence[Sequence[Tuple[Tuple, tuple]]],
-) -> Dict[Tuple, tuple]:
-    """Fold per-partition base-cell accumulators together, in grid order.
-
-    Empty partitions (no pairs) are the merge identity. The returned
-    mapping's insertion order is first-appearance order across the grid;
-    callers needing the serial dry run's canonical order re-sort by
-    physical key codes.
-
-    Additive losses take a vectorized path: all accumulator rows are
-    stacked and folded per key with ``np.add.at``, which is unbuffered
-    and applies updates in row order — the summation order is exactly
-    the grid-order Python fold's, so the result stays deterministic and
-    worker-count-invariant.
-    """
-    if loss.additive_stats:
-        keys: List[Tuple] = []
-        index_of: Dict[Tuple, int] = {}
-        ids: List[int] = []
-        rows: List[tuple] = []
-        for pairs in partition_results:
-            for key, stats in pairs:
-                gid = index_of.get(key)
-                if gid is None:
-                    gid = len(keys)
-                    index_of[key] = gid
-                    keys.append(key)
-                ids.append(gid)
-                rows.append(stats)
-        if not keys:
-            return {}
-        matrix = np.asarray(rows, dtype=float)
-        sums = np.zeros((len(keys), matrix.shape[1]))
-        np.add.at(sums, np.asarray(ids, dtype=np.intp), matrix)
-        return {key: tuple(sums[g]) for g, key in enumerate(keys)}
-    merged: Dict[Tuple, tuple] = {}
-    for pairs in partition_results:
-        for key, stats in pairs:
-            previous = merged.get(key)
-            merged[key] = stats if previous is None else loss.merge_stats(previous, stats)
-    return merged
-
-
-def parallel_dry_run(
-    table: Table,
-    attrs: Sequence[str],
-    loss: LossFunction,
-    threshold: float,
-    global_sample: GlobalSample,
-    workers: int = 1,
-    partitions: int = DEFAULT_PARTITIONS,
-) -> DryRunResult:
-    """Partition-parallel iceberg-cell lookup.
-
-    Produces a :class:`DryRunResult` whose content is a function of
-    ``(table, attrs, loss, threshold, global_sample, partitions)`` only:
-    the worker count changes wall-clock, never bytes. When a pool is
-    used, the raw table is placed in shared memory once and workers
-    slice their partitions out of it without copying.
-    """
-    started = time.perf_counter()
-    attrs = tuple(attrs)
-    table.schema.require(attrs)
-    check_workers(workers)
-
-    sample_values = loss.extract(global_sample.table)
-    sample_summary = loss.prepare_sample(sample_values)
-
-    bounds = partition_bounds(table.num_rows, partitions)
-    # Empty partitions are the merge identity; never ship one to a worker.
-    tasks = [b for b in bounds if b[1] > b[0]]
-    effective = max(1, min(workers, len(tasks)))
+def _map_partitions(workers: int, table, attrs, loss, sample_values, tasks):
+    """:data:`repro.core.dryrun.PartitionMap` over a pool: the raw table
+    goes into shared memory once and workers slice it without copying."""
     bundle = None
     initargs = (table, attrs, loss, sample_values, True)
-    if effective > 1:
-        ctx = _preferred_context()
+    if min(workers, len(tasks)) > 1:
         bundle = share_table(table)
-        initargs = (bundle.descriptor, attrs, loss, sample_values, _worker_untrack_flag(ctx))
+        initargs = (
+            bundle.descriptor,
+            attrs,
+            loss,
+            sample_values,
+            _worker_untrack_flag(_preferred_context()),
+        )
     try:
-        partition_results, execution = _map_with_pool(
+        results, execution = _map_with_pool(
             workers=workers,
             initializer=_init_dryrun_worker,
             initargs=initargs,
@@ -488,39 +355,78 @@ def parallel_dry_run(
             bundle.unlink()
     if bundle is not None:
         execution = replace(execution, shared_bytes=bundle.nbytes)
-    merged = merge_partition_stats(loss, partition_results)
+    return results, execution
 
-    # Canonical base order: sort by physical key codes, matching the
-    # serial dry run's full-table GroupBy (np.unique over code rows).
-    columns = [table.column(a) for a in attrs]
 
-    def codes_of(key: Tuple) -> Tuple[int, ...]:
-        return tuple(int(col.encode(v)) for col, v in zip(columns, key))
+def _sample_on_pool(workers: int, pending: Sequence[PendingCell], values, draw):
+    """:data:`repro.core.realrun.Sampler` over a pool, in chunks of cells.
 
-    ordered_keys = sorted(merged, key=codes_of)
-    base_keys: List[Tuple] = list(ordered_keys)
-    base_stats: List[tuple] = [merged[k] for k in ordered_keys]
-    key_codes = (
-        np.asarray([codes_of(k) for k in ordered_keys], dtype=np.int64)
-        if ordered_keys
-        else np.empty((0, len(attrs)), dtype=np.int64)
+    The loss value vector and one concatenated row-index buffer ride in
+    shared memory, so a task pickles down to ``(slot, key, offset,
+    length)``. Results come back in completion order; ``real_run`` slots
+    them into the canonical one.
+    """
+    fault_point(FP_CELL_START)
+    lengths = [len(idx) for _, _, idx in pending]
+    offsets = np.zeros(len(pending) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    idx_all = np.concatenate([idx for _, _, idx in pending]).astype(np.int64, copy=False)
+    specs = [
+        (slot, key, int(offsets[i]), lengths[i])
+        for i, (slot, key, _) in enumerate(pending)
+    ]
+    effective = min(workers, len(specs))
+    chunk_list = [specs[lo:hi] for lo, hi in task_chunks(len(specs), effective)]
+
+    bundle = None
+    payload = {"values": values, "idx": idx_all}
+    initargs = (payload, draw, True)
+    if effective > 1:
+        bundle = share_arrays(payload)
+        initargs = (bundle.descriptor, draw, _worker_untrack_flag(_preferred_context()))
+    try:
+        chunk_results, execution = _map_with_pool(
+            workers=workers,
+            initializer=_init_sampling_worker,
+            initargs=initargs,
+            func=_sample_chunk,
+            tasks=chunk_list,
+            ordered=False,  # slots restore order
+            used_shared_memory=bundle is not None,
+        )
+    finally:
+        _release_worker_state("sampling")
+        if bundle is not None:
+            bundle.close()
+            bundle.unlink()
+    execution = replace(
+        execution,
+        num_items=len(specs),
+        shared_bytes=bundle.nbytes if bundle is not None else 0,
     )
+    return chain.from_iterable(chunk_results), execution
 
-    derived = derive_cuboids(
-        attrs, base_keys, base_stats, key_codes, loss, threshold, sample_summary
-    )
-    return result_from_derivation(
+
+def parallel_dry_run(
+    table: Table,
+    attrs: Sequence[str],
+    loss: LossFunction,
+    threshold: float,
+    global_sample: GlobalSample,
+    workers: int = 1,
+    partitions: int = DEFAULT_PARTITIONS,
+) -> DryRunResult:
+    """:func:`repro.core.dryrun.dry_run` over the fixed grid, mapped on
+    ``workers`` processes — which change wall-clock, never bytes."""
+    return dry_run(
+        table,
         attrs,
+        loss,
         threshold,
-        derived,
-        time.perf_counter() - started,
-        execution=execution,
+        global_sample,
+        partitions=partitions,
+        map_partitions=partial(_map_partitions, check_workers(workers)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Stage 2: chunked per-cell fan-out sampling
-# ---------------------------------------------------------------------------
 
 
 def parallel_real_run(
@@ -529,138 +435,15 @@ def parallel_real_run(
     loss: LossFunction,
     seed: int,
     workers: int = 1,
-    lazy: bool = True,
-    pool_size: Optional[int] = 2000,
-    completed: Optional[Mapping[CellKey, object]] = None,
-    on_cell: Optional[Callable[[IcebergCellEntry], None]] = None,
+    **options,
 ) -> RealRunResult:
-    """Materialize every iceberg cell's sample across a worker pool.
-
-    Cell retrieval (the cost-model-guided GroupBy / semi-join of
-    Algorithm 2) stays on the coordinator — it is cheap relative to
-    greedy sampling and its output fixes the canonical cell order. The
-    sampling fans out in chunks of cells; the loss value vector and one
-    concatenated row-index buffer ride in shared memory, so a task
-    pickles down to ``(slot, key, offset, length)``. Results slot back
-    into the canonical order, so completion order is irrelevant.
-
-    ``completed`` and ``on_cell`` carry the PR-3 checkpoint protocol:
-    adopted cells are never re-sampled, and each freshly sampled cell is
-    journaled from the coordinator as its result arrives — a killed
-    parallel build resumes exactly like a serial one, whatever the
-    chunking was.
-    """
-    started = time.perf_counter()
-    check_workers(workers)
-    values = loss.extract(table)
-    n = table.num_rows
-
-    entries: List[Optional[IcebergCellEntry]] = []
-    tasks: List[Tuple[int, CellKey, np.ndarray]] = []
-    decisions: Dict[Tuple[str, ...], costmodel.CostDecision] = {}
-    skipped = 0
-    for gset, iceberg_keys in dry.iceberg_cells_by_cuboid.items():
-        if not iceberg_keys:
-            skipped += 1
-            continue
-        decision = costmodel.evaluate(n, len(iceberg_keys), dry.cell_counts[gset])
-        decisions[gset] = decision
-        cell_rows = _cuboid_cell_rows(
-            table, gset, dry.attrs, iceberg_keys, decision.use_join_prune
-        )
-        for key in iceberg_keys:
-            idx = cell_rows.get(key)
-            if idx is None:  # pragma: no cover - dry run and real run agree
-                continue
-            slot = len(entries)
-            record = completed.get(key) if completed else None
-            if record is not None:
-                entries.append(_adopt_checkpointed(key, idx, dry, record))
-            else:
-                entries.append(None)
-                tasks.append((slot, key, idx))
-
-    execution: Optional[PoolExecution] = None
-    if tasks:
-        fault_point(FP_CELL_START)
-        # One flat index buffer; each task addresses its rows by offset.
-        lengths = [len(idx) for _, _, idx in tasks]
-        offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        idx_all = (
-            np.concatenate([idx for _, _, idx in tasks])
-            if tasks
-            else np.empty(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
-        specs = [
-            (slot, key, int(offsets[i]), int(lengths[i]))
-            for i, (slot, key, _) in enumerate(tasks)
-        ]
-        effective = max(1, min(workers, len(specs)))
-        chunk_list = [specs[lo:hi] for lo, hi in task_chunks(len(specs), effective)]
-
-        bundle = None
-        payload = {"values": values, "idx": idx_all}
-        initargs = (payload, loss, dry.threshold, seed, lazy, pool_size, True)
-        if effective > 1:
-            ctx = _preferred_context()
-            bundle = share_arrays(payload)
-            initargs = (
-                bundle.descriptor,
-                loss,
-                dry.threshold,
-                seed,
-                lazy,
-                pool_size,
-                _worker_untrack_flag(ctx),
-            )
-        try:
-            chunk_results, execution = _map_with_pool(
-                workers=workers,
-                initializer=_init_sampling_worker,
-                initargs=initargs,
-                func=_sample_chunk,
-                tasks=chunk_list,
-                ordered=False,  # checkpoint as results arrive; slots restore order
-                used_shared_memory=bundle is not None,
-            )
-        finally:
-            _release_worker_state("sampling")
-            if bundle is not None:
-                bundle.close()
-                bundle.unlink()
-        execution = replace(
-            execution,
-            num_items=len(specs),
-            shared_bytes=bundle.nbytes if bundle is not None else 0,
-        )
-
-        task_of = {slot: (key, idx) for slot, key, idx in tasks}
-        for chunk_result in chunk_results:
-            for slot, sampling in chunk_result:
-                key, idx = task_of[slot]
-                entry = IcebergCellEntry(
-                    key=key,
-                    raw_indices=idx,
-                    sample_indices=idx[sampling.indices],
-                    stats=dry.iceberg_stats[key],
-                    sampling=SamplingResult(
-                        indices=sampling.indices,
-                        achieved_loss=sampling.achieved_loss,
-                        rounds=sampling.rounds,
-                        evaluations=sampling.evaluations,
-                    ),
-                )
-                fault_point(FP_CELL_SAMPLED)
-                if on_cell is not None:
-                    on_cell(entry)
-                entries[slot] = entry
-
-    cells = [e for e in entries if e is not None]
-    return RealRunResult(
-        cells=cells,
-        decisions=decisions,
-        skipped_cuboids=skipped,
-        seconds=time.perf_counter() - started,
-        execution=execution,
+    """:func:`repro.core.realrun.real_run` (same ``options``) with the
+    unsampled cells fanned out to ``workers`` processes."""
+    return real_run(
+        table,
+        dry,
+        loss,
+        seed,
+        sampler=partial(_sample_on_pool, check_workers(workers)),
+        **options,
     )

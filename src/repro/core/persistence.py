@@ -40,14 +40,13 @@ import numpy as np
 from repro.core.cube_store import SamplingCubeStore
 from repro.core.global_sample import GlobalSample
 from repro.core.loss.registry import LossRegistry
-from repro.core.sampling import sample_with_pool
+from repro.core.realrun import sample_cell
 from repro.core.tabula import Tabula, TabulaConfig
 from repro.engine.column import Column
 from repro.engine.schema import ColumnType
 from repro.engine.table import Table
 from repro.errors import SamplingError, TabulaError
 from repro.resilience.atomic import atomic_write_text
-from repro.resilience.checkpoint import rng_for_cell
 
 FORMAT_VERSION = 2
 #: Versions this loader accepts (1 = legacy, no checksums).
@@ -468,11 +467,12 @@ def _repair_cell(tabula: Tabula, store: SamplingCubeStore, cell) -> bool:
         return False
     values = config.loss.extract(tabula.table.take(raw_indices))
     try:
-        result = sample_with_pool(
+        result = sample_cell(
             config.loss,
             values,
             config.threshold,
-            rng_for_cell(config.seed, cell),
+            config.seed,
+            cell,
             pool_size=config.pool_size,
             lazy=config.lazy_sampling,
         )

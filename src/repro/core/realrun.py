@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +32,24 @@ from repro.core.sampling import SamplingResult, sample_with_pool
 from repro.engine.cube import CellKey, align_cell_key
 from repro.engine.groupby import group_rows
 from repro.engine.table import Table
+from repro.resilience.checkpoint import rng_for_cell
 from repro.resilience.faults import fault_point, register_fault_point
 
 FP_CELL_START = register_fault_point(
-    "init.realrun.cell_start", "before sampling one iceberg cell"
+    "init.realrun.cell_start",
+    "before sampling: ahead of every cell when the real run samples "
+    "in-process, once ahead of the whole fan-out when a worker pool does",
 )
 FP_CELL_SAMPLED = register_fault_point(
     "init.realrun.cell_sampled", "cell sampled, before the on_cell hook runs"
 )
+
+#: A cell still to be sampled: ``(slot in cell order, key, raw-row indices)``.
+PendingCell = Tuple[int, CellKey, np.ndarray]
+#: ``(pending, values, draw) -> ((slot, SamplingResult) in any order, execution)``.
+Sampler = Callable[..., Tuple[Iterable[Tuple[int, SamplingResult]], Optional[object]]]
+#: What ``skip_sampling`` records for a cell (ablation use only).
+_NOT_SAMPLED = SamplingResult(np.empty(0, dtype=np.int64), np.inf, 0, 0)
 
 
 @dataclass
@@ -64,9 +75,10 @@ class RealRunResult:
     decisions: Dict[Tuple[str, ...], costmodel.CostDecision]
     skipped_cuboids: int
     seconds: float
-    #: how the parallel engine actually executed this stage
-    #: (:class:`repro.core.parallel.PoolExecution`); ``None`` for the
-    #: serial path, which never fans out.
+    #: what the sampler reported about how it ran
+    #: (:class:`repro.core.parallel.PoolExecution` for a ``workers=``
+    #: build); ``None`` for the default in-process sampler, and when no
+    #: cell was left to sample.
     execution: Optional[object] = None
 
     @property
@@ -77,26 +89,70 @@ class RealRunResult:
         return sum(len(c.sample_indices) for c in self.cells)
 
 
+def sample_cell(
+    loss: LossFunction,
+    cell_values: np.ndarray,
+    threshold: float,
+    seed: int,
+    key: CellKey,
+    pool_size: Optional[int] = 2000,
+    lazy: bool = True,
+) -> SamplingResult:
+    """Algorithm 1 on one cell, with the cell's own ``(seed, key)`` RNG.
+
+    The only way the build (in-process or on a pool worker) and
+    ``load_cube(on_corruption="repair")`` draw a local sample, so a
+    cell's sample is a function of ``(its rows, config)`` — not of visit
+    order, of which worker ran it, or of where a killed build resumed.
+    The generator is only constructed if a candidate pool is drawn.
+    """
+    return sample_with_pool(
+        loss,
+        cell_values,
+        threshold,
+        lambda: rng_for_cell(seed, key),
+        pool_size=pool_size,
+        lazy=lazy,
+    )
+
+
+def _sample_inline(pending: Sequence[PendingCell], values: np.ndarray, draw):
+    """The default sampler: one cell at a time, in cell order."""
+
+    def results():
+        for slot, key, idx in pending:
+            fault_point(FP_CELL_START)
+            yield slot, draw(cell_values=values[idx], key=key)
+
+    return results(), None
+
+
 def real_run(
     table: Table,
     dry: DryRunResult,
     loss: LossFunction,
-    rng: np.random.Generator,
+    seed: int,
     lazy: bool = True,
     pool_size: Optional[int] = 2000,
     force_strategy: Optional[str] = None,
     skip_sampling: bool = False,
     completed: Optional[Mapping[CellKey, "object"]] = None,
-    cell_rng: Optional[Callable[[CellKey], np.random.Generator]] = None,
     on_cell: Optional[Callable[["IcebergCellEntry"], None]] = None,
+    sampler: Sampler = _sample_inline,
 ) -> RealRunResult:
     """Materialize local samples for every iceberg cell.
+
+    One walk over the iceberg cuboids retrieves every cell's rows and
+    fixes the canonical cell order; the cells no checkpoint already
+    holds are then handed to ``sampler``, and each result becomes an
+    entry here — whoever did the sampling.
 
     Args:
         table: the raw table.
         dry: dry-run output (iceberg cells, counts, lattice).
         loss: the bound accuracy loss function.
-        rng: randomness source for the candidate pools.
+        seed: every cell is sampled from its own
+            ``rng_for_cell(seed, cell)`` stream (:func:`sample_cell`).
         lazy: lazy-forward vs naive greedy sampling.
         pool_size: candidate-pool cap passed to the sampler.
         force_strategy: override the cost model with ``"join-prune"`` or
@@ -108,17 +164,27 @@ def real_run(
             ``achieved_loss``, ``rounds``, ``evaluations``); their
             recorded samples are adopted instead of re-drawn, which is
             how a killed build resumes without redoing finished work.
-        cell_rng: when given, each cell is sampled with its own
-            generator (``cell_rng(cell)``) instead of the shared stream,
-            making the drawn sample independent of visit order — the
-            property that lets resumed and uninterrupted builds agree.
         on_cell: called after each *newly sampled* cell (checkpoint
             recording hook); not called for adopted ``completed`` cells.
+        sampler: ``sampler(pending, values, draw)`` returns
+            ``(results, execution)`` — ``results`` yields one
+            ``(slot, SamplingResult)`` per :data:`PendingCell`, in any
+            order, each obtained as ``draw(cell_values=values[idx],
+            key=key)``; ``execution`` is stored on the result. The
+            default samples in-process;
+            :func:`repro.core.parallel.parallel_real_run` passes a
+            worker pool. Not called when nothing is pending.
+
+    Fault points: ``init.realrun.cell_sampled`` fires here once per
+    newly sampled cell, just before ``on_cell``. ``init.realrun.cell_start``
+    belongs to the sampler: the in-process one fires it before every
+    cell, a pool fires it once, before the fan-out.
     """
     started = time.perf_counter()
     values = loss.extract(table)
     n = table.num_rows
-    cells: List[IcebergCellEntry] = []
+    cells: List[Optional[IcebergCellEntry]] = []
+    pending: List[PendingCell] = []
     decisions: Dict[Tuple[str, ...], costmodel.CostDecision] = {}
     skipped = 0
 
@@ -128,56 +194,59 @@ def real_run(
             continue
         decision = costmodel.evaluate(n, len(iceberg_keys), dry.cell_counts[gset])
         decisions[gset] = decision
-        use_join = decision.use_join_prune
-        if force_strategy == "join-prune":
-            use_join = True
-        elif force_strategy == "full-groupby":
-            use_join = False
+        use_join = {"join-prune": True, "full-groupby": False}.get(
+            force_strategy, decision.use_join_prune
+        )
         cell_rows = _cuboid_cell_rows(table, gset, dry.attrs, iceberg_keys, use_join)
         for key in iceberg_keys:
             idx = cell_rows.get(key)
             if idx is None:  # pragma: no cover - dry run and real run agree
                 continue
-            if skip_sampling:
-                cells.append(
-                    IcebergCellEntry(
-                        key=key,
-                        raw_indices=idx,
-                        sample_indices=np.empty(0, dtype=np.int64),
-                        stats=dry.iceberg_stats[key],
-                        sampling=SamplingResult(np.empty(0, dtype=np.int64), np.inf, 0, 0),
-                    )
-                )
-                continue
             record = completed.get(key) if completed else None
-            if record is not None:
+            if skip_sampling:
+                cells.append(_entry(key, idx, dry, _NOT_SAMPLED))
+            elif record is not None:
                 cells.append(_adopt_checkpointed(key, idx, dry, record))
-                continue
-            fault_point(FP_CELL_START)
-            result = sample_with_pool(
-                loss,
-                values[idx],
-                dry.threshold,
-                cell_rng(key) if cell_rng is not None else rng,
-                pool_size=pool_size,
-                lazy=lazy,
-            )
-            entry = IcebergCellEntry(
-                key=key,
-                raw_indices=idx,
-                sample_indices=idx[result.indices],
-                stats=dry.iceberg_stats[key],
-                sampling=result,
-            )
+            else:
+                pending.append((len(cells), key, idx))
+                cells.append(None)
+
+    execution = None
+    if pending:
+        draw = partial(
+            sample_cell,
+            loss,
+            threshold=dry.threshold,
+            seed=seed,
+            pool_size=pool_size,
+            lazy=lazy,
+        )
+        results, execution = sampler(pending, values, draw)
+        cell_of = {slot: (key, idx) for slot, key, idx in pending}
+        for slot, sampling in results:
+            entry = _entry(*cell_of[slot], dry, sampling)
             fault_point(FP_CELL_SAMPLED)
             if on_cell is not None:
                 on_cell(entry)
-            cells.append(entry)
+            cells[slot] = entry
     return RealRunResult(
-        cells=cells,
+        cells=[c for c in cells if c is not None],
         decisions=decisions,
         skipped_cuboids=skipped,
         seconds=time.perf_counter() - started,
+        execution=execution,
+    )
+
+
+def _entry(
+    key: CellKey, idx: np.ndarray, dry: DryRunResult, sampling: SamplingResult
+) -> IcebergCellEntry:
+    return IcebergCellEntry(
+        key=key,
+        raw_indices=idx,
+        sample_indices=idx[sampling.indices],
+        stats=dry.iceberg_stats[key],
+        sampling=sampling,
     )
 
 
@@ -224,15 +293,15 @@ def _cuboid_cell_rows(
 
 def _adopt_checkpointed(key: CellKey, idx: np.ndarray, dry: DryRunResult, record) -> IcebergCellEntry:
     """Rebuild a cell entry from its checkpoint record (sample order kept)."""
-    sample_raw = np.asarray(record.sample_indices, dtype=np.int64)
     position_of = {int(raw): pos for pos, raw in enumerate(idx)}
-    positions = np.asarray([position_of[int(r)] for r in sample_raw], dtype=np.int64)
-    return IcebergCellEntry(
-        key=key,
-        raw_indices=idx,
-        sample_indices=sample_raw,
-        stats=dry.iceberg_stats[key],
-        sampling=SamplingResult(
+    positions = np.asarray(
+        [position_of[int(r)] for r in record.sample_indices], dtype=np.int64
+    )
+    return _entry(
+        key,
+        idx,
+        dry,
+        SamplingResult(
             indices=positions,
             achieved_loss=record.achieved_loss,
             rounds=record.rounds,

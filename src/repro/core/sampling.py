@@ -21,7 +21,7 @@ Two execution strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def sample_with_pool(
     loss: LossFunction,
     values: np.ndarray,
     threshold: float,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, Callable[[], np.random.Generator]],
     pool_size: Optional[int] = 2000,
     lazy: bool = True,
 ) -> SamplingResult:
@@ -106,7 +106,17 @@ def sample_with_pool(
     while the loss is still measured against the full cell (so θ still
     holds with 100 % confidence). In the rare case the pool cannot reach
     θ, the sampler transparently retries with all tuples as candidates.
+
+    ``rng`` is a generator or a zero-argument factory for one; a factory
+    is only called when a pool is actually drawn, so the cube build's
+    per-cell generators cost nothing on the (vast majority of) cells
+    that fit in the pool.
     """
+
+    def draw(population: int) -> np.ndarray:
+        generator = rng() if callable(rng) else rng
+        return generator.choice(population, size=pool_size, replace=False)
+
     n = len(values)
     if n <= 4:
         # Tiny cells (the bulk of a many-attribute cube) are cheaper to
@@ -120,11 +130,10 @@ def sample_with_pool(
     if distinct is None:
         if pool_size is None or n <= pool_size:
             return greedy_sample(loss, values, threshold, lazy=lazy)
-        pool = np.sort(rng.choice(n, size=pool_size, replace=False)).astype(np.int64)
+        pool = np.sort(draw(n)).astype(np.int64)
     else:
         if pool_size is not None and len(distinct) > pool_size:
-            picked = rng.choice(len(distinct), size=pool_size, replace=False)
-            pool = np.sort(distinct[picked]).astype(np.int64)
+            pool = np.sort(distinct[draw(len(distinct))]).astype(np.int64)
         else:
             pool = np.asarray(distinct, dtype=np.int64)
     try:

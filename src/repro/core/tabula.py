@@ -15,12 +15,13 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core import costmodel, spatial
+from repro.core import costmodel, parallel, spatial
 from repro.core.cube_store import MemoryBreakdown, SamplingCubeStore
 from repro.core.dryrun import DryRunResult, dry_run
 from repro.core.global_sample import (
@@ -41,7 +42,7 @@ from repro.engine.expressions import (
 )
 from repro.engine.table import Table
 from repro.errors import CubeNotInitializedError, DeadlineExceeded, InvalidQueryError
-from repro.resilience.checkpoint import InitCheckpoint, rng_for_cell, table_fingerprint
+from repro.resilience.checkpoint import InitCheckpoint, table_fingerprint
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import fault_point, register_fault_point
 
@@ -76,13 +77,7 @@ class TabulaConfig:
         lazy_sampling: lazy-forward (default) vs naive greedy sampling.
         sample_selection: disable to get the paper's Tabula* variant.
         pool_size: candidate-pool cap for greedy sampling on large cells.
-        samgraph_max_pairs: optional cap making the representation join
-            non-exhaustive (correct but less compact).
-        seed: randomness seed (global sample, pools).
-        partitions: dry-run partition-grid size for parallel builds
-            (``initialize(workers=N)``). Fixed independently of the
-            worker count so a build's content depends only on the grid,
-            never on the parallelism that executed it.
+        seed: randomness seed (global sample; per-cell candidate pools).
         degraded_rebind: when a cell's sample is missing/corrupt, try to
             re-verify a surviving representative against the cell's raw
             population before downgrading (self-healing; costs one raw
@@ -106,9 +101,7 @@ class TabulaConfig:
     lazy_sampling: bool = True
     sample_selection: bool = True
     pool_size: Optional[int] = 2000
-    samgraph_max_pairs: Optional[int] = None
     seed: int = 0
-    partitions: int = 16
     degraded_rebind: bool = True
     degraded_fallback: str = "global"
     stale_pointer_retries: int = 1
@@ -119,8 +112,6 @@ class TabulaConfig:
                 f"degraded_fallback must be 'global' or 'raw', got "
                 f"{self.degraded_fallback!r}"
             )
-        if self.partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {self.partitions}")
         if self.stale_pointer_retries < 0:
             raise ValueError(
                 f"stale_pointer_retries must be >= 0, got {self.stale_pointer_retries}"
@@ -143,8 +134,9 @@ class InitializationReport:
     global_sample_size: int
     lattice: CuboidLattice
     cost_decisions: Dict[Tuple[str, ...], costmodel.CostDecision] = field(default_factory=dict)
-    #: parallel-engine fan-out records (:class:`~repro.core.parallel.PoolExecution`)
-    #: per stage; ``None`` when the stage ran on the serial path.
+    #: per-stage fan-out records (:class:`~repro.core.parallel.PoolExecution`)
+    #: of a ``workers=`` build; ``None`` when the stage ran in this process
+    #: without a pool (or was loaded from a checkpoint).
     dry_run_execution: Optional[object] = None
     real_run_execution: Optional[object] = None
 
@@ -258,7 +250,6 @@ class Tabula:
         table.schema.require(config.cubed_attrs)
         self.table = table
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
         self._store: Optional[SamplingCubeStore] = None
         self._report: Optional[InitializationReport] = None
         self._dry: Optional[DryRunResult] = None
@@ -278,80 +269,76 @@ class Tabula:
     ) -> InitializationReport:
         """Build the partially materialized sampling cube.
 
+        One pipeline — global sample, dry run, real run (Algorithm 2),
+        representative selection — whatever the arguments. The cube is
+        a function of ``(table, config)``: the global sample is drawn
+        from ``default_rng(seed)`` and every iceberg cell from its own
+        ``rng_for_cell(seed, cell)`` stream, so a plain, a checkpointed
+        and a killed-and-resumed build have equal ``content_digest()``,
+        as do ``workers=`` builds for any count.
+
         Args:
             checkpoint_dir: when given, the build journals its progress
-                there (dry-run partition statistics, then one record per
-                materialized cell) and a killed build *resumes* from the
-                last completed cell on the next call with the same
-                directory. A resumed build produces a cube store
-                identical to an uninterrupted one: the global sample is
-                replayed from the checkpoint and every cell is sampled
-                with its own seed derived from ``(config.seed, cell)``,
-                so nothing depends on where the crash happened. Discard
-                the directory once the cube is persisted
+                there (the dry-run result, then one record per sampled
+                cell) and a killed build *resumes* from the last
+                completed cell on the next call with the same
+                directory: the global sample and dry run are loaded
+                instead of redone and recorded cells are adopted instead
+                of re-drawn. Discard the directory once the cube is
+                persisted
                 (:meth:`repro.resilience.checkpoint.InitCheckpoint.discard`).
-            workers: ``None`` (default) runs the classic serial build.
-                Any integer ``>= 1`` routes both stages through the
-                parallel engine (:mod:`repro.core.parallel`): the dry
-                run is partitioned over a fixed grid
-                (``config.partitions``) with mergeable accumulators and
-                every iceberg cell is sampled with its own
-                ``(seed, cell)`` RNG stream. The build's content is a
-                function of the configuration only — ``workers=1`` and
-                ``workers=8`` produce byte-identical persisted cubes —
-                and composes with ``checkpoint_dir``: a killed parallel
-                build resumes per-cell, with any worker count.
+            workers: ``None`` (default) runs both stages in this
+                process. Any integer ``>= 1`` hands their decomposable
+                halves — the dry run's partition map over the fixed
+                16-partition grid, the real run's per-cell sampling — to
+                a worker pool (:mod:`repro.core.parallel`).
+                ``workers=1`` and ``workers=8`` persist byte-identical
+                cubes, and a checkpoint written under one count resumes
+                under any other. Against ``workers=None`` only the grid
+                differs (1 partition vs 16), which may move a float sum
+                by its last ulp.
         """
         cfg = self.config
         started = time.perf_counter()
 
+        # The two hooks. ``workers`` binds a pool into the stage
+        # functions; ``checkpoint_dir`` supplies finished work and
+        # records new work. Neither changes what is computed.
+        run_dry, run_real = dry_run, real_run
         if workers is not None:
-            global_sample, dry, real = self._build_parallel(workers, checkpoint_dir)
-        elif checkpoint_dir is None:
-            global_sample = draw_global_sample(self.table, self._rng, cfg.epsilon, cfg.delta)
-            fault_point(FP_GLOBAL_SAMPLE)
-            dry = dry_run(self.table, cfg.cubed_attrs, cfg.loss, cfg.threshold, global_sample)
-            real = real_run(
-                self.table,
-                dry,
-                cfg.loss,
-                self._rng,
-                lazy=cfg.lazy_sampling,
-                pool_size=cfg.pool_size,
-            )
-        else:
+            parallel.check_workers(workers)
+            run_dry = partial(parallel.parallel_dry_run, workers=workers)
+            run_real = partial(parallel.parallel_real_run, workers=workers)
+        checkpoint = None
+        if checkpoint_dir is not None:
             checkpoint = InitCheckpoint(checkpoint_dir)
             checkpoint.open(self._checkpoint_fingerprint())
-            global_sample, dry = self._checkpointed_dryrun(
-                checkpoint,
-                lambda gs: dry_run(
-                    self.table, cfg.cubed_attrs, cfg.loss, cfg.threshold, gs
-                ),
+
+        loaded = checkpoint.load_dryrun(self.table) if checkpoint else None
+        if loaded is not None:
+            global_sample, dry = loaded
+        else:
+            global_sample = draw_global_sample(
+                self.table, np.random.default_rng(cfg.seed), cfg.epsilon, cfg.delta
             )
-            real = real_run(
-                self.table,
-                dry,
-                cfg.loss,
-                self._rng,
-                lazy=cfg.lazy_sampling,
-                pool_size=cfg.pool_size,
-                completed=checkpoint.completed_cells(),
-                cell_rng=lambda cell: rng_for_cell(cfg.seed, cell),
-                on_cell=lambda e: checkpoint.record_cell(
-                    e.key,
-                    e.sample_indices,
-                    e.sampling.achieved_loss,
-                    e.sampling.rounds,
-                    e.sampling.evaluations,
-                ),
-            )
+            fault_point(FP_GLOBAL_SAMPLE)
+            dry = run_dry(self.table, cfg.cubed_attrs, cfg.loss, cfg.threshold, global_sample)
+            if checkpoint:
+                checkpoint.save_dryrun(global_sample, dry)
+        real = run_real(
+            self.table,
+            dry,
+            cfg.loss,
+            cfg.seed,
+            lazy=cfg.lazy_sampling,
+            pool_size=cfg.pool_size,
+            completed=checkpoint.completed_cells() if checkpoint else None,
+            on_cell=checkpoint.record_entry if checkpoint else None,
+        )
 
         selection_seconds = 0.0
         if cfg.sample_selection and real.cells:
-            graph = build_samgraph(
-                self.table, real.cells, cfg.loss, cfg.threshold,
-                max_pairs=cfg.samgraph_max_pairs,
-            )
+            graph = build_samgraph(self.table, real.cells, cfg.loss, cfg.threshold)
             selection = select_representatives(graph)
             selection_seconds = graph.seconds + selection.seconds
             sample_ids = {rep: sid for sid, rep in enumerate(selection.representatives)}
@@ -400,85 +387,6 @@ class Tabula:
         )
         return self._report
 
-    def _checkpointed_dryrun(self, checkpoint: InitCheckpoint, run_dry):
-        """Load stage 1 from the checkpoint, or run it and persist it.
-
-        The global draw uses a dedicated generator (not the shared
-        stream): on resume the sample is *loaded*, so no generator state
-        may depend on having drawn it.
-        """
-        cfg = self.config
-        loaded = checkpoint.load_dryrun(self.table)
-        if loaded is not None:
-            return loaded
-        global_sample = draw_global_sample(
-            self.table, np.random.default_rng(cfg.seed), cfg.epsilon, cfg.delta
-        )
-        fault_point(FP_GLOBAL_SAMPLE)
-        dry = run_dry(global_sample)
-        checkpoint.save_dryrun(global_sample, dry)
-        return global_sample, dry
-
-    def _build_parallel(
-        self, workers: int, checkpoint_dir: Optional[Union[str, Path]]
-    ):
-        """Both initialization stages through the parallel engine.
-
-        Content is worker-count-invariant: the dry run partitions over
-        the fixed ``config.partitions`` grid and merges in grid order;
-        sampling draws from per-cell RNG streams. The global sample uses
-        a dedicated ``default_rng(seed)`` (like the checkpointed serial
-        path), so checkpointed and direct parallel builds agree too.
-        """
-        from repro.core.parallel import check_workers, parallel_dry_run, parallel_real_run
-
-        cfg = self.config
-        check_workers(workers)
-        run_dry = lambda gs: parallel_dry_run(
-            self.table,
-            cfg.cubed_attrs,
-            cfg.loss,
-            cfg.threshold,
-            gs,
-            workers=workers,
-            partitions=cfg.partitions,
-        )
-        if checkpoint_dir is None:
-            checkpoint = None
-            global_sample = draw_global_sample(
-                self.table, np.random.default_rng(cfg.seed), cfg.epsilon, cfg.delta
-            )
-            fault_point(FP_GLOBAL_SAMPLE)
-            dry = run_dry(global_sample)
-        else:
-            checkpoint = InitCheckpoint(checkpoint_dir)
-            checkpoint.open(self._checkpoint_fingerprint())
-            global_sample, dry = self._checkpointed_dryrun(checkpoint, run_dry)
-        real = parallel_real_run(
-            self.table,
-            dry,
-            cfg.loss,
-            seed=cfg.seed,
-            workers=workers,
-            lazy=cfg.lazy_sampling,
-            pool_size=cfg.pool_size,
-            completed=checkpoint.completed_cells() if checkpoint else None,
-            on_cell=(
-                (
-                    lambda e: checkpoint.record_cell(
-                        e.key,
-                        e.sample_indices,
-                        e.sampling.achieved_loss,
-                        e.sampling.rounds,
-                        e.sampling.evaluations,
-                    )
-                )
-                if checkpoint
-                else None
-            ),
-        )
-        return global_sample, dry, real
-
     def _checkpoint_fingerprint(self) -> Dict[str, object]:
         """What must match for a checkpointed build to be resumable."""
         cfg = self.config
@@ -492,7 +400,6 @@ class Tabula:
             "lazy_sampling": cfg.lazy_sampling,
             "sample_selection": cfg.sample_selection,
             "pool_size": cfg.pool_size,
-            "samgraph_max_pairs": cfg.samgraph_max_pairs,
             "seed": cfg.seed,
             "table": table_fingerprint(self.table),
         }

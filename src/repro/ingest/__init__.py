@@ -10,11 +10,9 @@ watermarks on the way out, and ``kill -9`` survivable at every stage.
 - :mod:`repro.ingest.wal` — the durable micro-batch log;
 - :mod:`repro.ingest.stream` — :class:`StreamIngestor` (the pipeline)
   and :func:`recover_ingest` (exactly-once WAL replay);
-- :mod:`repro.ingest.drift` — background iceberg promotion/demotion;
 - :mod:`repro.ingest.progressive` — monotone progressive answers.
 """
 
-from repro.ingest.drift import DriftSweepReport, plan_drift_sweep, run_drift_sweep
 from repro.ingest.progressive import ProgressiveFrame, progressive_query
 from repro.ingest.stream import (
     IngestConfig,
@@ -27,7 +25,6 @@ from repro.ingest.stream import (
 from repro.ingest.wal import IngestWAL, WalBatch, WalReadResult
 
 __all__ = [
-    "DriftSweepReport",
     "IngestConfig",
     "IngestOutcome",
     "IngestRecovery",
@@ -37,8 +34,6 @@ __all__ = [
     "SubmitResult",
     "WalBatch",
     "WalReadResult",
-    "plan_drift_sweep",
     "progressive_query",
     "recover_ingest",
-    "run_drift_sweep",
 ]

@@ -20,13 +20,9 @@ semantics:
   ``applied_seq``. When it lags, queries keep serving the pre-append
   state — staleness is *visible* (``durable_seq - applied_seq``), never
   silent — and the bounded queue eventually pushes back on writers;
-- **drift sweeps** — every N applied batches the maintainer runs a
-  bounded :func:`~repro.ingest.drift.run_drift_sweep`, demoting
-  materialized cells the global sample now covers and
-  promoting/repairing cells whose exact loss crossed θ;
 - **kill -9 anywhere** — every stage carries a registered fault point
-  (enqueue → WAL write → WAL durable → apply start → apply done →
-  drift), and :func:`recover_ingest` replays the WAL through the
+  (enqueue → WAL write → WAL durable → apply start → apply done),
+  and :func:`recover_ingest` replays the WAL through the
   journal's committed-batch ledger so recovery is exactly-once whether
   the crash hit before, during, or after an apply.
 
@@ -52,7 +48,6 @@ from repro.core.maintenance import append_rows, batch_id_for, recover_journal
 from repro.core.tabula import Tabula
 from repro.engine.table import Table
 from repro.errors import TabulaError
-from repro.ingest.drift import run_drift_sweep
 from repro.ingest.wal import IngestWAL, WalBatch
 from repro.resilience.faults import fault_point, register_fault_point
 from repro.resilience.journal import MaintenanceJournal
@@ -70,10 +65,6 @@ FP_APPLY_START = register_fault_point(
 FP_APPLY_DONE = register_fault_point(
     "ingest.apply.done",
     "batch applied and journal-committed, applied watermark not yet published",
-)
-FP_DRIFT = register_fault_point(
-    "ingest.drift.sweep",
-    "drift sweep about to plan+apply one bounded promotion/demotion cycle",
 )
 
 
@@ -126,9 +117,6 @@ class IngestConfig:
         maintain_delay_seconds: artificial pause before each apply.
             Zero in production; tests and the progressive-query demos
             raise it to create a deterministically lagging maintainer.
-        drift_interval_batches: run one drift sweep every N applied
-            batches (0 disables sweeping).
-        drift_max_cells: bounded work per drift cycle.
     """
 
     max_queued_rows: int = 8192
@@ -136,8 +124,6 @@ class IngestConfig:
     flush_interval_seconds: float = 0.02
     retry_after_seconds: float = 0.05
     maintain_delay_seconds: float = 0.0
-    drift_interval_batches: int = 0
-    drift_max_cells: int = 16
 
     def __post_init__(self) -> None:
         if self.max_queued_rows < 1:
@@ -318,16 +304,10 @@ class StreamIngestor:
             "applied_batches": 0,
             "applied_rows": 0,
             "deduplicated_batches": 0,
-            "drift_sweeps": 0,
-            "drift_demoted": 0,
-            "drift_promoted": 0,
-            "drift_repaired": 0,
             "fsyncs": 0,
         }
         self._closed = False  # guard: _state_lock
         self._failure = ""  # guard: _state_lock
-        self._drift_cursor = 0  # maintainer-thread private
-        self._drift_seed = resume_seq  # maintainer-thread private
         self._wake_writer = threading.Event()
         self._wake_maintainer = threading.Event()
         self._writer: Optional[threading.Thread] = None
@@ -510,28 +490,8 @@ class StreamIngestor:
                     self._counters["applied_rows"] += batch.rows.num_rows
                     if deduplicated:
                         self._counters["deduplicated_batches"] += 1
-                    applied = self._counters["applied_batches"]
-                interval = self.config.drift_interval_batches
-                if interval and applied % interval == 0:
-                    self._drift_once()
         except BaseException as exc:
             self._note_failure("maintainer", exc)
-
-    def _drift_once(self) -> None:
-        fault_point(FP_DRIFT)
-        self._drift_seed += 1
-        report = run_drift_sweep(
-            self.tabula,
-            seed=self._drift_seed,
-            max_cells=self.config.drift_max_cells,
-            cursor=self._drift_cursor,
-        )
-        self._drift_cursor = report.next_cursor
-        with self._state_lock:
-            self._counters["drift_sweeps"] += 1
-            self._counters["drift_demoted"] += report.demoted_cells
-            self._counters["drift_promoted"] += report.promoted_cells
-            self._counters["drift_repaired"] += report.repaired_cells
 
     def _note_failure(self, stage: str, exc: BaseException) -> None:
         # A simulated (or real) death of a pipeline thread: record the

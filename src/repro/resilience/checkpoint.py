@@ -257,23 +257,18 @@ class InitCheckpoint:
         return global_sample, dryrun_from_snapshot(payload["dryrun"])
 
     # -- real run -----------------------------------------------------------
-    def record_cell(
-        self,
-        cell: CellKey,
-        sample_indices: np.ndarray,
-        achieved_loss: float,
-        rounds: int,
-        evaluations: int,
-    ) -> None:
-        """Durably record one completed cell (sample + certificate)."""
+    def record_entry(self, entry) -> None:
+        """Durably record one completed cell (sample + certificate) —
+        ``real_run``'s ``on_cell`` hook; ``entry`` is its
+        :class:`~repro.core.realrun.IcebergCellEntry`."""
         fault_point(FP_CELL_RECORD)
         self._cells_log.append(
             {
-                "cell": cell_to_json(cell),
-                "sample_indices": np.asarray(sample_indices, dtype=np.int64).tolist(),
-                "achieved_loss": achieved_loss,
-                "rounds": rounds,
-                "evaluations": evaluations,
+                "cell": cell_to_json(entry.key),
+                "sample_indices": np.asarray(entry.sample_indices, dtype=np.int64).tolist(),
+                "achieved_loss": entry.sampling.achieved_loss,
+                "rounds": entry.sampling.rounds,
+                "evaluations": entry.sampling.evaluations,
             }
         )
 

@@ -9,15 +9,13 @@ and builds with different worker counts are *exactly* equal.
 import numpy as np
 import pytest
 
-from repro.core.dryrun import dry_run
+from repro.core.dryrun import dry_run, merge_partition_stats, partition_bounds
 from repro.core.global_sample import draw_global_sample
 from repro.core.loss.mean import MeanLoss
 from repro.core.parallel import (
     check_workers,
-    merge_partition_stats,
     parallel_dry_run,
     parallel_real_run,
-    partition_bounds,
     task_chunks,
 )
 from repro.core.tabula import Tabula, TabulaConfig
@@ -226,22 +224,17 @@ class TestParallelRealRun:
 
 
 class TestTabulaWorkersAPI:
-    def _config(self, partitions=16):
+    def _config(self):
         return TabulaConfig(
             cubed_attrs=ATTRS,
             threshold=0.05,
             loss=MeanLoss("fare_amount"),
             seed=11,
-            partitions=partitions,
         )
 
     def test_initialize_rejects_bad_workers(self, rides_tiny):
         with pytest.raises(ValueError):
             Tabula(rides_tiny, self._config()).initialize(workers=0)
-
-    def test_config_rejects_bad_partitions(self):
-        with pytest.raises(ValueError):
-            self._config(partitions=0)
 
     def test_parallel_digest_matches_across_worker_counts(self, rides_tiny):
         digests = set()

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.global_sample import draw_global_sample
 from repro.core.loss import MeanLoss
 from repro.core.persistence import (
     PersistenceError,
@@ -143,13 +145,15 @@ class TestErrors:
             other.attach_store(restored.store)
 
 
-def _corrupt_one_sample(path):
-    """Flip a value inside one persisted sample without fixing its CRC.
+def _corrupt_one_sample(path, sid=None):
+    """Flip a value inside one persisted sample (the first, or ``sid``)
+    without fixing its CRC.
 
     Returns the (int) sample id that was tampered with.
     """
     document = json.loads(path.read_text())
-    sid, payload = next(iter(document["sample_table"].items()))
+    sid = next(iter(document["sample_table"])) if sid is None else str(sid)
+    payload = document["sample_table"][sid]
     column = next(c for c in payload["columns"] if c["name"] == "fare_amount")
     column["data"][0] = float(column["data"][0]) + 1e6
     path.write_text(json.dumps(document))
@@ -220,6 +224,35 @@ class TestCorruptionRecovery:
             result = restored.query(query)
             assert result.source == "local"
             assert restored.actual_loss(query) <= 0.05 + 1e-12
+
+    def test_repair_redraws_the_rows_the_build_drew(self, rides_small, tmp_path):
+        """A cell's sample is a function of (its rows, config): repairing
+        a damaged pool-drawing cell reproduces the build's own draw. The
+        cube file does not record ``seed``/``pool_size``, so this holds
+        for the defaults ``load_cube`` restores — which the build uses."""
+        loss = MeanLoss("fare_amount")
+        config = TabulaConfig(
+            cubed_attrs=ATTRS, threshold=0.05, loss=loss, sample_selection=False
+        )
+        all_loss = loss.loss(
+            loss.extract(rides_small),
+            loss.extract(draw_global_sample(rides_small, np.random.default_rng(0)).table),
+        )
+        config.threshold = all_loss / 2  # makes the 3000-row "All" cell iceberg
+        built = Tabula(rides_small, config)
+        built.initialize()
+        cell = (None, None)
+        entry = next(c for c in built.real_run_result.cells if c.key == cell)
+        assert len(entry.raw_indices) > config.pool_size, "cell draws no pool"
+        sid = built.store.sample_id_of(cell)
+        path = tmp_path / "cube.json"
+        save_cube(built, path)
+        _corrupt_one_sample(path, sid)
+
+        restored = load_cube(path, rides_small, on_corruption="repair")
+        assert restored.last_load_report.repaired_cells == [cell]
+        redrawn = restored.store.sample_for_id(restored.store.sample_id_of(cell))
+        assert table_to_json(redrawn) == table_to_json(rides_small.take(entry.sample_indices))
 
     def test_v1_legacy_file_loads_without_checksums(
         self, initialized, rides_small, tmp_path

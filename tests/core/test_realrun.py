@@ -19,7 +19,7 @@ def pipeline(rides_tiny):
     gs = draw_global_sample(rides_tiny, rng)
     loss = MeanLoss("fare_amount")
     dry = dry_run(rides_tiny, ATTRS, loss, THETA, gs)
-    real = real_run(rides_tiny, dry, loss, np.random.default_rng(1))
+    real = real_run(rides_tiny, dry, loss, seed=1)
     return rides_tiny, loss, dry, real
 
 
@@ -74,9 +74,9 @@ class TestStrategySelection:
         loss = MeanLoss("fare_amount")
         dry = dry_run(rides_tiny, ATTRS, loss, THETA, gs)
         forced = real_run(
-            rides_tiny, dry, loss, np.random.default_rng(1), force_strategy=strategy
+            rides_tiny, dry, loss, seed=1, force_strategy=strategy
         )
-        default = real_run(rides_tiny, dry, loss, np.random.default_rng(1))
+        default = real_run(rides_tiny, dry, loss, seed=1)
         by_key_forced = {c.key: set(c.raw_indices.tolist()) for c in forced.cells}
         by_key_default = {c.key: set(c.raw_indices.tolist()) for c in default.cells}
         assert by_key_forced == by_key_default
@@ -99,6 +99,6 @@ class TestAllCuboid:
         dry = dry_run(rides_small, ATTRS, loss, theta, gs)
         all_key = (None, None)
         assert all_key in dry.iceberg_stats
-        real = real_run(rides_small, dry, loss, np.random.default_rng(1))
+        real = real_run(rides_small, dry, loss, seed=1)
         entry = next(c for c in real.cells if c.key == all_key)
         assert len(entry.raw_indices) == rides_small.num_rows

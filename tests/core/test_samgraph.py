@@ -16,7 +16,7 @@ ATTRS = ("passenger_count", "payment_type")
 def build_pipeline(table, loss, theta, seed=0):
     gs = draw_global_sample(table, np.random.default_rng(seed))
     dry = dry_run(table, ATTRS, loss, theta, gs)
-    real = real_run(table, dry, loss, np.random.default_rng(seed + 1))
+    real = real_run(table, dry, loss, seed=seed + 1)
     return dry, real
 
 

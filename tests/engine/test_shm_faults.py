@@ -137,7 +137,6 @@ class TestParallelBuildWithAttachCrash:
             threshold=0.05,
             loss=MeanLoss("fare_amount"),
             seed=11,
-            partitions=4,
         )
         with inject(CrashPoint(FP_ATTACH_VIEWS)):
             with pytest.raises(InjectedCrash), pytest.warns(RuntimeWarning):

@@ -28,11 +28,7 @@ ATTRS = ("passenger_count", "payment_type")
 NUM_BATCHES = 5
 BATCH_ROWS = 40
 
-INGEST_POINTS = [
-    p
-    for p in registered_fault_points()
-    if p.startswith("ingest.") and p != "ingest.drift.sweep"
-]
+INGEST_POINTS = [p for p in registered_fault_points() if p.startswith("ingest.")]
 
 pytestmark = pytest.mark.faults
 
@@ -159,37 +155,3 @@ class TestKillAtEveryPoint:
         stranger = build(generate_nyctaxi(num_rows=123, seed=9))
         with pytest.raises(TabulaError, match="does not belong"):
             recover_ingest(stranger, wal_path, journal_path)
-
-
-class TestDriftCrash:
-    def test_crash_in_drift_sweep_loses_no_rows(self, rides_tiny, delta, tmp_path):
-        """Drift is an optimization pass: a crash mid-sweep must not
-        lose or duplicate any ingested row. (Digest equality with a
-        no-drift run is deliberately NOT asserted — sweeps legitimately
-        move cells between materialized and iceberg state.)"""
-        wal_path = tmp_path / "ingest.wal"
-        journal_path = tmp_path / "maintenance.journal"
-        base_rows = rides_tiny.num_rows
-        live = StreamIngestor(
-            build(rides_tiny),
-            wal_path,
-            journal_path,
-            config=IngestConfig(
-                flush_interval_seconds=0.002, drift_interval_batches=2
-            ),
-        )
-        with inject(CrashPoint("ingest.drift.sweep")):
-            drive_until_dead(live, delta)
-            live.close(drain=True, timeout=5.0)
-        assert live.stats()["failure"], "drift point never tripped"
-
-        fresh = build(rides_tiny)
-        recover_ingest(fresh, wal_path, journal_path)
-        restarted = StreamIngestor(fresh, wal_path, journal_path)
-        try:
-            for i in range(NUM_BATCHES):
-                assert restarted.submit(batch(delta, i), seed=seed_of(i)).accepted
-            assert restarted.wait_applied(timeout=20.0)
-        finally:
-            restarted.close(timeout=10.0)
-        assert fresh.table.num_rows == base_rows + NUM_BATCHES * BATCH_ROWS

@@ -8,8 +8,11 @@ with a *different* worker count, since partial progress must be
 portable across parallelism).
 """
 
+import numpy as np
 import pytest
 
+from repro.core.dryrun import dry_run
+from repro.core.global_sample import draw_global_sample
 from repro.core.loss import HeatmapLoss, MeanLoss
 from repro.core.persistence import save_cube
 from repro.core.tabula import Tabula, TabulaConfig
@@ -78,11 +81,12 @@ class TestGoldenEquivalence:
     def test_partitions_do_not_change_iceberg_cells(self, rides_tiny):
         # Different partition grids may reassociate float additions (an
         # accepted last-ulp effect) but must agree on the cube structure.
-        a = make(rides_tiny, partitions=4)
-        a.initialize(workers=2)
-        b = make(rides_tiny, partitions=32)
-        b.initialize(workers=2)
-        assert list(a.store._cell_to_sample_id) == list(b.store._cell_to_sample_id)
+        loss = MeanLoss("fare_amount")
+        gs = draw_global_sample(rides_tiny, np.random.default_rng(11))
+        a = dry_run(rides_tiny, ATTRS, loss, 0.05, gs, partitions=4)
+        b = dry_run(rides_tiny, ATTRS, loss, 0.05, gs, partitions=32)
+        assert a.iceberg_cells_by_cuboid == b.iceberg_cells_by_cuboid
+        assert a.known_cells == b.known_cells
 
 
 class TestKillResumeEquivalence:

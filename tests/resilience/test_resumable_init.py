@@ -49,10 +49,11 @@ def make(table, **overrides):
 
 
 @pytest.fixture(scope="module")
-def reference_digest(rides_tiny, tmp_path_factory):
-    """Digest of an uninterrupted checkpointed build (the oracle)."""
+def reference_digest(rides_tiny):
+    """Digest of a plain ``initialize()`` (the oracle): passing a
+    checkpoint directory must not change the cube."""
     tabula = make(rides_tiny)
-    tabula.initialize(checkpoint_dir=tmp_path_factory.mktemp("reference"))
+    tabula.initialize()
     return tabula.store.content_digest()
 
 
@@ -72,6 +73,36 @@ class TestDeterminism:
         again = make(rides_tiny)
         again.initialize(checkpoint_dir=ckpt)
         assert again.store.content_digest() == reference_digest
+
+
+class TestForcedPoolDraws:
+    """The cells that *use* their RNG: with ``pool_size`` below the
+    iceberg cells' row counts every such cell draws a candidate pool, so
+    equal digests mean equal RNG streams on every path — not just equal
+    greedy runs over whole cells."""
+
+    POOL = 50
+
+    @pytest.mark.faults
+    def test_plain_checkpointed_and_resumed_builds_agree(self, rides_tiny, tmp_path):
+        plain = make(rides_tiny, pool_size=self.POOL)
+        plain.initialize()
+        assert any(
+            len(cell.raw_indices) > self.POOL for cell in plain.real_run_result.cells
+        ), "no iceberg cell exceeds pool_size; the test would prove nothing"
+        reference = plain.store.content_digest()
+
+        checkpointed = make(rides_tiny, pool_size=self.POOL)
+        checkpointed.initialize(checkpoint_dir=tmp_path / "whole")
+        assert checkpointed.store.content_digest() == reference
+
+        ckpt = tmp_path / "killed"
+        with inject(CrashPoint("init.realrun.cell_sampled", at=2)):
+            with pytest.raises(InjectedCrash):
+                make(rides_tiny, pool_size=self.POOL).initialize(checkpoint_dir=ckpt)
+        resumed = make(rides_tiny, pool_size=self.POOL)
+        resumed.initialize(checkpoint_dir=ckpt)
+        assert resumed.store.content_digest() == reference
 
 
 class TestKillAtEveryPoint:
@@ -146,10 +177,12 @@ class TestCheckpointSafety:
         assert not ckpt.exists()
 
     def test_plain_initialize_is_unaffected(self, rides_tiny):
-        """The non-checkpointed path keeps its original single-stream
-        randomness — no behavioral change without opting in."""
+        """Same ``(table, config)`` ⇒ same cube, also when one instance
+        is initialized twice (no generator state survives a build)."""
         a = make(rides_tiny)
+        a.initialize()
+        first = a.store.content_digest()
         a.initialize()
         b = make(rides_tiny)
         b.initialize()
-        assert a.store.content_digest() == b.store.content_digest()
+        assert first == a.store.content_digest() == b.store.content_digest()
