@@ -1,9 +1,13 @@
-"""Ablation — Algorithm 2's cost model vs forcing either retrieval path.
+"""Ablation — Algorithm 2's per-cuboid retrieval vs deriving from base cells.
 
-For each iceberg cuboid the real run chooses between a full GroupBy and
-a semi-join prune (Inequation 1). Forcing one path for *every* cuboid
-shows what the model buys: never worse than the worse of the two fixed
-strategies, usually tracking the better one.
+Algorithm 2 retrieves each iceberg cuboid's rows from the raw table,
+choosing per cuboid between a full GroupBy and a semi-join prune
+(Inequation 1). The real run no longer does either by default: it
+groups the raw table once into base cells and derives every cuboid's
+rows from them. This bench times the default against the cost model's
+choice and against forcing one retrieval for *every* cuboid — what the
+model buys over a fixed strategy, and what is left of that once
+retrieval is derived.
 """
 
 from __future__ import annotations
@@ -41,16 +45,20 @@ def test_ablation_cost_model(benchmark, small_rides):
         return time.perf_counter() - started, result
 
     def run():
-        model_seconds, model = timed(None)
+        derived_seconds, derived = timed(None)
+        model_seconds, model = timed("cost-model")
         join_seconds, join = timed("join-prune")
         group_seconds, group = timed("full-groupby")
-        # All three materialize the same iceberg cells.
-        keys = {c.key for c in model.cells}
-        assert {c.key for c in join.cells} == keys
-        assert {c.key for c in group.cells} == keys
-        return model_seconds, join_seconds, group_seconds, model
+        # All four materialize the same iceberg cells from the same rows.
+        for other in (model, join, group):
+            assert [c.key for c in other.cells] == [c.key for c in derived.cells]
+            assert all(
+                np.array_equal(a.raw_indices, b.raw_indices)
+                for a, b in zip(derived.cells, other.cells)
+            )
+        return derived_seconds, model_seconds, join_seconds, group_seconds, model
 
-    model_seconds, join_seconds, group_seconds, model = benchmark.pedantic(
+    derived_seconds, model_seconds, join_seconds, group_seconds, model = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     decisions = [d.strategy for d in model.decisions.values()]
@@ -58,6 +66,7 @@ def test_ablation_cost_model(benchmark, small_rides):
         "Ablation: cost-model strategy choice (histogram loss, θ = $0.01)",
         ["strategy", "real-run time", "cuboids via join-prune", "cuboids via full-groupby"],
         [
+            ["derived from base cells (default)", format_seconds(derived_seconds), "-", "-"],
             ["cost model", format_seconds(model_seconds),
              str(decisions.count("join-prune")), str(decisions.count("full-groupby"))],
             ["force join-prune", format_seconds(join_seconds), str(len(decisions)), "0"],
@@ -65,3 +74,4 @@ def test_ablation_cost_model(benchmark, small_rides):
         ],
     )
     assert model_seconds <= max(join_seconds, group_seconds) * 1.5
+    assert derived_seconds <= max(join_seconds, group_seconds) * 1.5

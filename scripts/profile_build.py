@@ -1,21 +1,22 @@
 #!/usr/bin/env python
 """Profile the cube build phase and dump a cProfile artifact.
 
-Runs ``Tabula.initialize(workers=N)`` under cProfile over a synthetic
-NYC-taxi table and writes two artifacts:
+Runs ``Tabula.initialize()`` under cProfile over a synthetic NYC-taxi
+table and writes two artifacts:
 
 - ``<out>.prof``  — binary cProfile stats (load with ``pstats`` or snakeviz)
 - ``<out>.txt``   — top functions by cumulative time, plain text
 
-The profile is coordinator-side only: pool workers are separate
-processes, so what shows up here is exactly the serial residue of the
-build — partition fan-out, shared-memory publication, merge fold,
-selection. That is the part worth staring at when the speedup curve
-flattens.
+The default is the build the benchmark of record times (``perf/``'s
+cube M): serial, five cubed attributes, mean loss, θ = 0.05 — thirty-odd
+iceberg cuboids, so per-cuboid work in the real run and the SamGraph
+join over a few thousand cells both show. With ``--workers N`` the
+profile is coordinator-side only: pool workers are separate processes,
+so what shows up is the serial residue of the build — partition
+fan-out, shared-memory publication, merge fold, selection.
 
 Usage:
-    PYTHONPATH=src python scripts/profile_build.py \
-        --rows 20000 --workers 4 --out build_profile
+    PYTHONPATH=src python scripts/profile_build.py --rows 20000 --out build_profile
 """
 
 import argparse
@@ -29,8 +30,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--theta", type=float, default=0.1)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="profile initialize(workers=N) instead of the serial build")
+    parser.add_argument("--theta", type=float, default=0.05)
     parser.add_argument("--top", type=int, default=40,
                         help="rows of the text report")
     parser.add_argument("--out", default="build_profile",
@@ -45,7 +47,9 @@ def main() -> int:
     tabula = Tabula(
         table,
         TabulaConfig(
-            cubed_attrs=("passenger_count", "payment_type"),
+            cubed_attrs=(
+                "payment_type", "rate_code", "passenger_count", "pickup_weekday", "vendor_name",
+            ),
             threshold=args.theta,
             loss=MeanLoss("fare_amount"),
             seed=args.seed,
@@ -71,7 +75,8 @@ def main() -> int:
         ("dry_run", report.dry_run_execution),
         ("real_run", report.real_run_execution),
     ]
-    print(f"profiled initialize(workers={args.workers}) over {args.rows} rows")
+    how = f"workers={args.workers}" if args.workers else ""
+    print(f"profiled initialize({how}) over {args.rows} rows")
     for stage, execution in executions:
         if execution is None:
             print(f"  {stage}: no execution record (nothing fanned out)")

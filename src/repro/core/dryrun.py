@@ -29,7 +29,7 @@ from repro.core.global_sample import GlobalSample
 from repro.core.lattice import CuboidLattice, LatticeNode
 from repro.core.loss.base import LossFunction
 from repro.engine.cube import CellKey, align_cell_key, grouping_sets
-from repro.engine.groupby import group_rows
+from repro.engine.groupby import group_keys, group_rows
 from repro.engine.table import Table
 from repro.resilience.faults import fault_point, register_fault_point
 
@@ -102,18 +102,18 @@ def derive_cuboids(
     attrs: Tuple[str, ...],
     base_keys: List[Tuple],
     base_stats: List[tuple],
-    key_codes: np.ndarray,
+    key_columns: Sequence[np.ndarray],
     loss: LossFunction,
     threshold: float,
     sample_summary: tuple,
 ) -> CuboidDerivation:
     """Derive every cuboid from base-cell statistics (no raw-data access).
 
-    ``key_codes`` is the ``(G, len(attrs))`` physical code matrix of
-    the base cells; it only steers the grouping of the additive fast
-    path, so any encoding that separates distinct keys is correct — but
-    the *order* of ``base_keys`` fixes merge order and therefore must
-    itself be deterministic for reproducible builds.
+    ``key_columns`` holds, per attribute, the base cells' physical key
+    codes; it only steers the grouping of the additive fast path
+    (cuboid cells come out in ascending code order) — the *order* of
+    ``base_keys`` fixes merge order and therefore must itself be
+    deterministic for reproducible builds.
     """
     iceberg_stats: Dict[CellKey, tuple] = {}
     iceberg_by_cuboid: Dict[Tuple[str, ...], List[CellKey]] = {}
@@ -135,14 +135,10 @@ def derive_cuboids(
         merged: Dict[Tuple, tuple] = {}
         if additive:
             if projector:
-                sub = key_codes[:, projector]
-                uniq, first, inverse = np.unique(
-                    sub, axis=0, return_index=True, return_inverse=True
-                )
-                inverse = inverse.ravel()
-                sums = np.zeros((len(uniq), stats_matrix.shape[1]))
+                first, inverse = group_keys([key_columns[p] for p in projector])
+                sums = np.zeros((len(first), stats_matrix.shape[1]))
                 np.add.at(sums, inverse, stats_matrix)
-                for g in range(len(uniq)):
+                for g in range(len(first)):
                     representative = base_keys[first[g]]
                     projected = tuple(representative[p] for p in projector)
                     merged[projected] = tuple(sums[g])
@@ -307,21 +303,21 @@ def dry_run(
     partition_results, execution = map_partitions(table, attrs, loss, sample_values, tasks)
     merged = merge_partition_stats(loss, partition_results)
 
-    # Canonical base order, whatever the grid: np.unique over code rows.
-    columns = [table.column(a) for a in attrs]
-    codes = {
-        key: tuple(int(col.encode(v)) for col, v in zip(columns, key)) for key in merged
-    }
-    base_keys: List[Tuple] = sorted(merged, key=codes.__getitem__)
-    key_codes = np.asarray([codes[k] for k in base_keys], dtype=np.int64).reshape(
-        len(base_keys), len(attrs)
-    )
+    # Canonical base order, whatever the grid: ascending physical key
+    # codes. Base keys are distinct, so each is the first of its group.
+    keys = list(merged)
+    key_columns = [
+        np.asarray([column.encode(key[j]) for key in keys])
+        for j, column in enumerate(map(table.column, attrs))
+    ]
+    order = group_keys(key_columns)[0] if attrs else np.arange(len(keys))
+    base_keys: List[Tuple] = [keys[i] for i in order]
 
     derived = derive_cuboids(
         attrs,
         base_keys,
         [merged[k] for k in base_keys],
-        key_codes,
+        [column[order] for column in key_columns],
         loss,
         threshold,
         sample_summary,

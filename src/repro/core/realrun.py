@@ -2,13 +2,26 @@
 
 Armed with the dry run's per-cuboid iceberg-cell tables, the real run
 visits only iceberg cuboids; non-iceberg cuboids are skipped outright.
-For each iceberg cuboid, the cost model (Inequation 1) decides between
+It reads the raw table the way the dry run does — **once**: one GroupBy
+over all cubed attributes puts every row in its base cell, and each
+iceberg cuboid's cells are then *derived* from the base cells (row
+membership is distributive, like the loss statistics): base cell →
+cuboid cell on the small base key matrix, then one linear pass hands
+every iceberg cell its rows in ascending order.
+
+Algorithm 2 instead retrieves per iceberg cuboid, its cost model
+(Inequation 1) choosing between
 
 1. a full GroupBy over the raw table, checking the iceberg condition
    per cell; or
 2. an equi-join of the raw table with the cuboid's iceberg-cell table
    (a semi-join prune), then a GroupBy over the much smaller retrieved
    data — the winner when the cuboid has only a few iceberg cells.
+
+The model is still evaluated and its decision recorded per cuboid, but
+it decides nothing on the default path; the two retrievals run only
+under ``force_strategy=`` (the cost-model ablation bench), and all
+three hand back identical row arrays.
 
 Either way, the stage then draws a local sample (Algorithm 1) for every
 iceberg cell. The cube table it emits still carries each cell's raw-row
@@ -30,7 +43,7 @@ from repro.core.dryrun import DryRunResult
 from repro.core.loss.base import LossFunction
 from repro.core.sampling import SamplingResult, sample_with_pool
 from repro.engine.cube import CellKey, align_cell_key
-from repro.engine.groupby import group_rows
+from repro.engine.groupby import Groups, group_keys, group_rows, split_by_group
 from repro.engine.table import Table
 from repro.resilience.checkpoint import rng_for_cell
 from repro.resilience.faults import fault_point, register_fault_point
@@ -142,10 +155,11 @@ def real_run(
 ) -> RealRunResult:
     """Materialize local samples for every iceberg cell.
 
-    One walk over the iceberg cuboids retrieves every cell's rows and
-    fixes the canonical cell order; the cells no checkpoint already
-    holds are then handed to ``sampler``, and each result becomes an
-    entry here — whoever did the sampling.
+    The raw table is grouped into base cells once; one walk over the
+    iceberg cuboids then derives every cell's rows from them and fixes
+    the canonical cell order; the cells no checkpoint already holds are
+    handed to ``sampler``, and each result becomes an entry here —
+    whoever did the sampling.
 
     Args:
         table: the raw table.
@@ -155,8 +169,12 @@ def real_run(
             ``rng_for_cell(seed, cell)`` stream (:func:`sample_cell`).
         lazy: lazy-forward vs naive greedy sampling.
         pool_size: candidate-pool cap passed to the sampler.
-        force_strategy: override the cost model with ``"join-prune"`` or
-            ``"full-groupby"`` (used by the cost-model ablation bench).
+        force_strategy: retrieve each cuboid's rows from the raw table
+            the way Algorithm 2 does instead of deriving them from base
+            cells — always by ``"join-prune"``, always by
+            ``"full-groupby"``, or by whichever Inequation 1 picks
+            (``"cost-model"``). Same rows, only slower; used by the
+            cost-model ablation bench.
         skip_sampling: only retrieve each iceberg cell's raw rows, do
             not draw samples — isolates the retrieval cost the cost
             model reasons about (ablation use only).
@@ -187,6 +205,11 @@ def real_run(
     pending: List[PendingCell] = []
     decisions: Dict[Tuple[str, ...], costmodel.CostDecision] = {}
     skipped = 0
+    if force_strategy not in (None, "cost-model", "join-prune", "full-groupby"):
+        raise ValueError(f"unknown retrieval strategy {force_strategy!r}")
+    if force_strategy is None:
+        base = group_rows(table, dry.attrs)
+        base_keys = [base.decode_key(g) for g in range(base.num_groups)]
 
     for gset, iceberg_keys in dry.iceberg_cells_by_cuboid.items():
         if not iceberg_keys:
@@ -194,10 +217,15 @@ def real_run(
             continue
         decision = costmodel.evaluate(n, len(iceberg_keys), dry.cell_counts[gset])
         decisions[gset] = decision
-        use_join = {"join-prune": True, "full-groupby": False}.get(
-            force_strategy, decision.use_join_prune
-        )
-        cell_rows = _cuboid_cell_rows(table, gset, dry.attrs, iceberg_keys, use_join)
+        if force_strategy is None:
+            cell_rows = _derived_cell_rows(base, base_keys, gset, iceberg_keys)
+        else:
+            use_join = (
+                decision.use_join_prune
+                if force_strategy == "cost-model"
+                else force_strategy == "join-prune"
+            )
+            cell_rows = _cuboid_cell_rows(table, gset, dry.attrs, iceberg_keys, use_join)
         for key in iceberg_keys:
             idx = cell_rows.get(key)
             if idx is None:  # pragma: no cover - dry run and real run agree
@@ -248,6 +276,40 @@ def _entry(
         stats=dry.iceberg_stats[key],
         sampling=sampling,
     )
+
+
+def _derived_cell_rows(
+    base: Groups,
+    base_keys: Sequence[Tuple],
+    gset: Tuple[str, ...],
+    iceberg_keys: Sequence[CellKey],
+) -> Dict[CellKey, np.ndarray]:
+    """Raw-row indices per iceberg cell of one cuboid, from the base cells.
+
+    ``base`` is the raw table grouped by all cubed attributes and
+    ``base_keys`` its groups' logical keys. Each base cell falls in
+    exactly one cell of the cuboid, so a row's cuboid cell is a look-up
+    through its base cell — no key of the raw table is read again. Rows
+    come back ascending inside each cell, exactly as a GroupBy of the
+    raw table by ``gset`` lists them.
+    """
+    attrs = base.keys
+    if not gset:
+        # The "All" cuboid: its single cell is the whole table.
+        return {align_cell_key((), (), attrs): np.arange(base.table.num_rows, dtype=np.int64)}
+    projector = [attrs.index(a) for a in gset]
+    first, cell_of_base = group_keys([base.key_codes[:, p] for p in projector])
+    # Slot of each cuboid cell among the iceberg cells; every other cell
+    # goes to one trailing slot that is dropped.
+    slot_of = {tuple(key[p] for p in projector): slot for slot, key in enumerate(iceberg_keys)}
+    dropped = len(iceberg_keys)
+    slots = np.fromiter(
+        (slot_of.get(tuple(base_keys[b][p] for p in projector), dropped) for b in first),
+        dtype=np.int64,
+        count=len(first),
+    )
+    rows = split_by_group(slots[cell_of_base][base.row_groups], dropped + 1)
+    return dict(zip(iceberg_keys, rows))
 
 
 def _cuboid_cell_rows(

@@ -32,8 +32,9 @@ class SamGraph:
     """Adjacency-list representation; vertex i is ``cells[i]``'s sample."""
 
     num_vertices: int
-    #: out_edges[v] = cells representable by sample v (excluding v itself).
-    out_edges: List[List[int]]
+    #: out_edges[v] = cells representable by sample v (excluding v itself),
+    #: an ``int64`` array in discovery order.
+    out_edges: List[np.ndarray]
     #: join diagnostics: pairs checked exactly vs pruned/shortcut.
     exact_checks: int
     pruned_pairs: int
@@ -48,7 +49,7 @@ class SamGraph:
         return sum(len(e) for e in self.out_edges)
 
     def has_edge(self, v: int, u: int) -> bool:
-        return u in self.out_edges[v]
+        return bool((self.out_edges[v] == u).any())
 
 
 def build_samgraph(
@@ -117,10 +118,11 @@ def build_samgraph(
         else None
     )
 
-    out_edges: List[List[int]] = [[] for _ in range(n)]
+    out_edges: List[np.ndarray] = []
     exact = pruned = shortcut = 0
     for v in range(n):
         sam_v = sample_values[v]
+        edges: List[int] = []
         budget = max_pairs if max_pairs is not None else n
         # Vectorized fast paths first: an exact batch answer settles the
         # whole column; a batch lower bound leaves only the survivors
@@ -132,8 +134,8 @@ def build_samgraph(
             quick = loss.representation_shortcut_batch(prepared, sam_v)
             if quick is not None:
                 shortcut += n - 1
-                hits = np.nonzero(np.asarray(quick) <= threshold)[0]
-                out_edges[v] = [int(u) for u in hits[:budget] if u != v]
+                hits = np.nonzero(np.asarray(quick) <= threshold)[0][:budget]
+                out_edges.append(hits[hits != v].astype(np.int64, copy=False))
                 continue
             bounds = loss.representation_lower_bound_batch(prepared, sam_v)
             if bounds is not None:
@@ -154,7 +156,7 @@ def build_samgraph(
                         int(u) for u in survivors
                         if u != v and uppers[u] <= threshold
                     ]
-                    out_edges[v].extend(accepted[:budget])
+                    edges.extend(accepted[:budget])
                     shortcut += len(accepted)
                     undecided = survivors[
                         (uppers[survivors] > threshold) & (survivors != v)
@@ -169,7 +171,7 @@ def build_samgraph(
         examined = 0
         exact_done = 0
         miss_streak = 0
-        budget_left = budget - len(out_edges[v])
+        budget_left = budget - len(edges)
         for u in candidates:
             if examined >= budget_left:
                 break
@@ -179,7 +181,7 @@ def build_samgraph(
                 if quick is not None:
                     shortcut += 1
                     if quick <= threshold:
-                        out_edges[v].append(u)
+                        edges.append(u)
                     continue
                 bound = loss.representation_lower_bound(cells[u].stats, aux[u], sam_v)
                 if bound > threshold:
@@ -193,10 +195,11 @@ def build_samgraph(
             exact += 1
             exact_done += 1
             if loss.loss(raw_values[u], sam_v) <= threshold:
-                out_edges[v].append(u)
+                edges.append(u)
                 miss_streak = 0
             else:
                 miss_streak += 1
+        out_edges.append(np.asarray(edges, dtype=np.int64))
     return SamGraph(
         num_vertices=n,
         out_edges=out_edges,

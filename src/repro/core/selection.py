@@ -79,7 +79,7 @@ def select_representatives(graph: SamGraph) -> SelectionResult:
         representatives.append(head)
         if assigned_to[head] < 0:
             assigned_to[head] = head
-        tails = np.asarray(graph.out_edges[head], dtype=np.int64)
+        tails = graph.out_edges[head]
         if len(tails):
             unassigned = tails[assigned_to[tails] < 0]
             assigned_to[unassigned] = head

@@ -69,17 +69,88 @@ class TestStrategySelection:
     @pytest.mark.parametrize("strategy", ["join-prune", "full-groupby"])
     def test_forced_strategies_agree(self, rides_tiny, strategy):
         """Both retrieval paths must materialize identical cell data."""
-        rng = np.random.default_rng(0)
-        gs = draw_global_sample(rides_tiny, rng)
-        loss = MeanLoss("fare_amount")
-        dry = dry_run(rides_tiny, ATTRS, loss, THETA, gs)
+        _assert_same_arrays_as_default(rides_tiny, ATTRS, THETA, [strategy])
+
+    def test_unknown_strategy_rejected(self, pipeline):
+        table, loss, dry, _ = pipeline
+        with pytest.raises(ValueError, match="unknown retrieval strategy"):
+            real_run(table, dry, loss, seed=1, force_strategy="hash-join")
+
+
+def _assert_same_arrays_as_default(table, attrs, theta, strategies):
+    """Deriving cuboid rows from base cells (the default) must hand the
+    greedy the *same arrays* as Algorithm 2's retrievals: same rows in
+    the same (ascending) order, cells in the same order. ``theta`` may
+    be a function of ``(table, loss, global sample)``."""
+    gs = draw_global_sample(table, np.random.default_rng(0))
+    loss = MeanLoss("fare_amount")
+    if callable(theta):
+        theta = theta(table, loss, gs)
+    dry = dry_run(table, attrs, loss, theta, gs)
+    default = real_run(table, dry, loss, seed=1, skip_sampling=True)
+    assert default.cells
+    for cell in default.cells:
+        assert np.all(np.diff(cell.raw_indices) > 0)
+    for strategy in strategies:
         forced = real_run(
-            rides_tiny, dry, loss, seed=1, force_strategy=strategy
+            table, dry, loss, seed=1, skip_sampling=True, force_strategy=strategy
         )
-        default = real_run(rides_tiny, dry, loss, seed=1)
-        by_key_forced = {c.key: set(c.raw_indices.tolist()) for c in forced.cells}
-        by_key_default = {c.key: set(c.raw_indices.tolist()) for c in default.cells}
-        assert by_key_forced == by_key_default
+        assert [c.key for c in forced.cells] == [c.key for c in default.cells]
+        for mine, theirs in zip(default.cells, forced.cells):
+            assert mine.raw_indices.dtype == theirs.raw_indices.dtype
+            assert np.array_equal(mine.raw_indices, theirs.raw_indices)
+        assert forced.decisions == default.decisions
+    return dry
+
+
+def _half_the_whole_table_loss(table, loss, gs):
+    """A θ below the whole table's loss, so the () cuboid is iceberg."""
+    return loss.loss(loss.extract(table), loss.extract(gs.table)) / 2
+
+
+FIVE_ATTRS = ("vendor_name", "pickup_weekday") + ATTRS + ("rate_code",)
+
+
+class TestRetrievalPathsAgree:
+    STRATEGIES = ("join-prune", "full-groupby", "cost-model")
+
+    def test_one_attribute_cube(self, rides_tiny):
+        _assert_same_arrays_as_default(rides_tiny, ("payment_type",), THETA, self.STRATEGIES)
+
+    def test_five_attribute_cube(self, rides_small):
+        _assert_same_arrays_as_default(rides_small, FIVE_ATTRS, THETA, self.STRATEGIES)
+
+    def test_all_cuboid(self, rides_small):
+        dry = _assert_same_arrays_as_default(
+            rides_small, ATTRS, _half_the_whole_table_loss, self.STRATEGIES
+        )
+        assert (None, None) in dry.iceberg_stats
+
+
+def test_plain_build_groups_the_raw_table_twice(rides_small, monkeypatch):
+    """Work count, no wall clock: a five-attribute build runs a GroupBy
+    over all N rows once in the dry run and once in the real run — not
+    once more per iceberg cuboid."""
+    from repro.core import dryrun, realrun
+    from repro.core.tabula import Tabula, TabulaConfig
+    from repro.engine import groupby
+
+    full_table_groupings = []
+
+    def counting(table, keys):
+        if table.num_rows == rides_small.num_rows:
+            full_table_groupings.append(tuple(keys))
+        return groupby.group_rows(table, keys)
+
+    monkeypatch.setattr(dryrun, "group_rows", counting)
+    monkeypatch.setattr(realrun, "group_rows", counting)
+    tabula = Tabula(
+        rides_small,
+        TabulaConfig(cubed_attrs=FIVE_ATTRS, threshold=THETA, loss=MeanLoss("fare_amount")),
+    )
+    report = tabula.initialize()
+    assert report.num_iceberg_cuboids > 2
+    assert full_table_groupings == [FIVE_ATTRS, FIVE_ATTRS]
 
 
 class TestAllCuboid:

@@ -12,7 +12,7 @@ from repro.core.selection import is_dominating, select_representatives
 def graph_of(out_edges):
     return SamGraph(
         num_vertices=len(out_edges),
-        out_edges=[list(e) for e in out_edges],
+        out_edges=[np.asarray(list(e), dtype=np.int64) for e in out_edges],
         exact_checks=0,
         pruned_pairs=0,
         shortcut_pairs=0,
