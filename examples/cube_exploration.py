@@ -5,13 +5,12 @@ Run:  python examples/cube_exploration.py
 Reproduces the paper's illustrative artifacts on a small cube:
 - the annotated cuboid lattice of Figure 5a,
 - the iceberg cell tables of Table I,
-- the physical cube/sample tables of Figure 4 with shared sample ids,
-- the cost-model decisions of Algorithm 2.
+- the physical cube/sample tables of Figure 4 with shared sample ids.
 """
 
 from repro import HistogramLoss, Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
-from repro.engine.cube import cell_grouping_set, format_cell
+from repro.engine.cube import format_cell
 
 ATTRS = ("passenger_count", "payment_type", "rate_code")
 
@@ -41,14 +40,6 @@ def main() -> None:
             label = ",".join(gset) if gset else "All"
             print(f"  cuboid {label}: {[format_cell(c) for c in cells[:4]]}"
                   + (" ..." if len(cells) > 4 else ""))
-
-    print("\n=== Algorithm 2: cost-model decisions per iceberg cuboid ===")
-    for gset, decision in report.cost_decisions.items():
-        label = ",".join(gset) if gset else "All"
-        print(
-            f"  {label:48s} i={decision.iceberg_cells:4d} k={decision.total_cells:5d}"
-            f" -> {decision.strategy}"
-        )
 
     print("\n=== Figure 4: physical layout ===")
     store = tabula.store

@@ -54,6 +54,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
+def _theta(text: str) -> float:
+    """``--theta``: rejects θ ≤ 0 and NaN at parse time, as ``TabulaConfig`` would."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"θ must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Tabula sampling-cube middleware (ICDE 2020)"
@@ -73,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--target", required=True, help="comma-separated target attribute(s)"
     )
-    build.add_argument("--theta", type=float, required=True, help="loss threshold θ")
+    build.add_argument("--theta", type=_theta, required=True, help="loss threshold θ > 0")
     build.add_argument(
         "--loss-sql", help="file with a CREATE AGGREGATE declaring --loss"
     )

@@ -6,8 +6,8 @@
   (Algorithm 1) with lazy-forward acceleration;
 - :mod:`repro.core.global_sample` — Serfling-bound global sample sizing;
 - :mod:`repro.core.lattice`, :mod:`repro.core.dryrun`,
-  :mod:`repro.core.costmodel`, :mod:`repro.core.realrun` — two-stage
-  sampling-cube initialization (Section III);
+  :mod:`repro.core.realrun` — two-stage sampling-cube initialization
+  (Section III);
 - :mod:`repro.core.samgraph`, :mod:`repro.core.selection` —
   representative sample selection (Section IV);
 - :mod:`repro.core.cube_store` — the physical cube/sample tables

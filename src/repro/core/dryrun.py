@@ -65,8 +65,6 @@ class DryRunResult:
     cell_stats: Dict[CellKey, tuple] = field(default_factory=dict)
     #: wall-clock seconds spent in the dry run.
     seconds: float = 0.0
-    #: number of full raw-table passes performed (should stay 1).
-    raw_table_passes: int = 1
     #: what the partition map reported about how it ran
     #: (:class:`repro.core.parallel.PoolExecution` for a ``workers=``
     #: build); ``None`` for the default in-process map.
@@ -74,15 +72,12 @@ class DryRunResult:
 
     @property
     def iceberg_cells(self) -> List[CellKey]:
+        """The combined iceberg-cell table (Table Ia)."""
         return list(self.iceberg_stats)
 
     @property
     def num_iceberg_cells(self) -> int:
         return len(self.iceberg_stats)
-
-    def iceberg_cell_table(self) -> List[CellKey]:
-        """The combined iceberg-cell table (Table Ia)."""
-        return list(self.iceberg_stats)
 
 
 @dataclass
@@ -342,6 +337,5 @@ def dry_run(
         cell_losses=derived.cell_losses,
         cell_stats=derived.cell_stats,
         seconds=time.perf_counter() - started,
-        raw_table_passes=1,
         execution=execution,
     )

@@ -18,13 +18,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.loss.base import LossFunction
 from repro.core.realrun import IcebergCellEntry
 from repro.engine.table import Table
+
+#: Above 800 cells a source sample's *exact* checks (distance losses,
+#: where only a lower bound is available) stop after this many
+#: evaluations; candidates are tried in ascending-bound order, so the
+#: most promising representation edges are found first.
+EXACT_BUDGET = 64
+#: ...or after this many consecutive failures — bound-ordered candidates
+#: rarely succeed after a streak of misses.
+MISS_STREAK_CUTOFF = 8
 
 
 @dataclass
@@ -57,35 +66,24 @@ def build_samgraph(
     cells: Sequence[IcebergCellEntry],
     loss: LossFunction,
     threshold: float,
-    max_pairs: Optional[int] = None,
     use_accelerators: bool = True,
-    exact_budget: Optional[int] = 64,
-    miss_streak_cutoff: Optional[int] = 8,
 ) -> SamGraph:
     """Run the representation join over all iceberg cells.
+
+    Up to 800 cells every pair is decided. Above that, a source
+    sample's exact checks stop at :data:`EXACT_BUDGET` evaluations or
+    :data:`MISS_STREAK_CUTOFF` misses in a row, so the graph may miss
+    edges — never admit a wrong one.
 
     Args:
         table: the raw table (cells hold row indices into it).
         cells: the real run's materialized iceberg cells.
         loss: the bound loss function.
         threshold: θ.
-        max_pairs: optional cap on candidate pairs per source sample —
-            yields a non-exhaustive SamGraph (still correct, possibly
-            larger final footprint). ``None`` examines all pairs.
         use_accelerators: disable the statistics shortcut and the
-            lower-bound prune to force the brute-force join (used by the
-            similarity-join ablation benchmark).
-        exact_budget: cap on *exact* loss evaluations per source sample
-            when only a lower bound is available (distance losses).
-            Candidates are tried in ascending-bound order, so the most
-            promising representation edges are found first; the
-            resulting SamGraph is non-exhaustive, which the paper
-            explicitly permits (it costs memory, never correctness).
-            ``None`` removes the cap.
-        miss_streak_cutoff: additionally stop a source sample's exact
-            checks after this many consecutive failures (``None`` to
-            disable) — bound-ordered candidates rarely succeed after a
-            streak of misses.
+            lower-bound prune to force the brute-force join — the
+            exhaustive reference the accelerated graph is tested against
+            (and the similarity-join ablation benchmark times).
 
     Returns:
         The directed :class:`SamGraph` (self-edges omitted; every sample
@@ -97,11 +95,10 @@ def build_samgraph(
     # of Section IV needs a near-complete SamGraph to bite (a sparse
     # graph leaves most cells as their own representative), and at a few
     # hundred cells the k-d-tree-accelerated exact checks are affordable.
-    # Large graphs keep the budgets — the paper explicitly allows a
-    # non-exhaustive join (it costs footprint, never correctness).
-    if n <= 800:
-        exact_budget = None
-        miss_streak_cutoff = None
+    # Large graphs keep EXACT_BUDGET / MISS_STREAK_CUTOFF — the paper
+    # explicitly allows a non-exhaustive join (it costs footprint, never
+    # correctness).
+    budgeted = n > 800
     values = loss.extract(table)
     sample_values = [values[c.sample_indices] for c in cells]
     raw_values = [values[c.raw_indices] for c in cells]
@@ -123,7 +120,6 @@ def build_samgraph(
     for v in range(n):
         sam_v = sample_values[v]
         edges: List[int] = []
-        budget = max_pairs if max_pairs is not None else n
         # Vectorized fast paths first: an exact batch answer settles the
         # whole column; a batch lower bound leaves only the survivors
         # for the exact check, tried in ascending-bound order under the
@@ -134,7 +130,7 @@ def build_samgraph(
             quick = loss.representation_shortcut_batch(prepared, sam_v)
             if quick is not None:
                 shortcut += n - 1
-                hits = np.nonzero(np.asarray(quick) <= threshold)[0][:budget]
+                hits = np.nonzero(np.asarray(quick) <= threshold)[0]
                 out_edges.append(hits[hits != v].astype(np.int64, copy=False))
                 continue
             bounds = loss.representation_lower_bound_batch(prepared, sam_v)
@@ -156,7 +152,7 @@ def build_samgraph(
                         int(u) for u in survivors
                         if u != v and uppers[u] <= threshold
                     ]
-                    edges.extend(accepted[:budget])
+                    edges.extend(accepted)
                     shortcut += len(accepted)
                     undecided = survivors[
                         (uppers[survivors] > threshold) & (survivors != v)
@@ -168,14 +164,9 @@ def build_samgraph(
                 bounded_order = True
         if candidates is None:
             candidates = [u for u in range(n) if u != v]
-        examined = 0
         exact_done = 0
         miss_streak = 0
-        budget_left = budget - len(edges)
         for u in candidates:
-            if examined >= budget_left:
-                break
-            examined += 1
             if use_accelerators and prepared is None:
                 quick = loss.representation_shortcut(cells[u].stats, aux[u], sam_v)
                 if quick is not None:
@@ -187,11 +178,10 @@ def build_samgraph(
                 if bound > threshold:
                     pruned += 1
                     continue
-            if bounded_order and use_accelerators:
-                if exact_budget is not None and exact_done >= exact_budget:
-                    break
-                if miss_streak_cutoff is not None and miss_streak >= miss_streak_cutoff:
-                    break
+            if bounded_order and budgeted and (
+                exact_done >= EXACT_BUDGET or miss_streak >= MISS_STREAK_CUTOFF
+            ):
+                break
             exact += 1
             exact_done += 1
             if loss.loss(raw_values[u], sam_v) <= threshold:

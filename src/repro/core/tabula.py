@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core import costmodel, parallel, spatial
+from repro.core import parallel, spatial
 from repro.core.cube_store import MemoryBreakdown, SamplingCubeStore
 from repro.core.dryrun import DryRunResult, dry_run
 from repro.core.global_sample import (
@@ -107,6 +107,10 @@ class TabulaConfig:
     stale_pointer_retries: int = 1
 
     def __post_init__(self):
+        # ``not > 0`` also rejects NaN, which every ``loss > θ`` iceberg
+        # test would read as "no cell is iceberg".
+        if not self.threshold > 0:
+            raise ValueError(f"threshold θ must be > 0, got {self.threshold}")
         if self.degraded_fallback not in ("global", "raw"):
             raise ValueError(
                 f"degraded_fallback must be 'global' or 'raw', got "
@@ -133,7 +137,6 @@ class InitializationReport:
     num_representatives: int
     global_sample_size: int
     lattice: CuboidLattice
-    cost_decisions: Dict[Tuple[str, ...], costmodel.CostDecision] = field(default_factory=dict)
     #: per-stage fan-out records (:class:`~repro.core.parallel.PoolExecution`)
     #: of a ``workers=`` build; ``None`` when the stage ran in this process
     #: without a pool (or was loaded from a checkpoint).
@@ -381,7 +384,6 @@ class Tabula:
             num_representatives=len(samples),
             global_sample_size=global_sample.size,
             lattice=dry.lattice,
-            cost_decisions=real.decisions,
             dry_run_execution=dry.execution,
             real_run_execution=real.execution,
         )

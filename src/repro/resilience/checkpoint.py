@@ -178,7 +178,6 @@ def dryrun_from_snapshot(snapshot: dict) -> DryRunResult:
         cell_losses=cell_losses,
         cell_stats=cell_stats,
         seconds=snapshot.get("seconds", 0.0),
-        raw_table_passes=1,
     )
 
 

@@ -92,10 +92,22 @@ class TestOutputs:
         combined = [c for cells in dry.iceberg_cells_by_cuboid.values() for c in cells]
         assert sorted(map(str, combined)) == sorted(map(str, dry.iceberg_cells))
 
-    def test_single_raw_pass(self, setup):
+    def test_single_raw_pass(self, setup, monkeypatch):
+        """One GroupBy of the raw table (the base cuboid); every other
+        cuboid is derived from it."""
+        from repro.core import dryrun
+        from repro.engine import groupby
+
         table, gs, loss = setup
-        dry = dry_run(table, ATTRS, loss, 0.05, gs)
-        assert dry.raw_table_passes == 1
+        raw_groupings = []
+
+        def counting(chunk, keys):
+            raw_groupings.append((chunk.num_rows, tuple(keys)))
+            return groupby.group_rows(chunk, keys)
+
+        monkeypatch.setattr(dryrun, "group_rows", counting)
+        dry_run(table, ATTRS, loss, 0.05, gs)
+        assert raw_groupings == [(table.num_rows, ATTRS)]
 
     def test_lower_threshold_more_icebergs(self, setup):
         table, gs, loss = setup

@@ -7,7 +7,8 @@ from repro.core.dryrun import dry_run
 from repro.core.global_sample import draw_global_sample
 from repro.core.loss.mean import MeanLoss
 from repro.core.realrun import real_run
-from repro.engine.cube import CubeCells
+from repro.engine.cube import CubeCells, align_cell_key
+from repro.engine.groupby import group_rows
 
 ATTRS = ("passenger_count", "payment_type")
 THETA = 0.05
@@ -56,11 +57,6 @@ class TestMaterialization:
 
 
 class TestStrategySelection:
-    def test_decisions_recorded_per_iceberg_cuboid(self, pipeline):
-        _, __, dry, real = pipeline
-        expected = {g for g, cells in dry.iceberg_cells_by_cuboid.items() if cells}
-        assert set(real.decisions) == expected
-
     def test_non_iceberg_cuboids_skipped(self, pipeline):
         _, __, dry, real = pipeline
         empty = sum(1 for cells in dry.iceberg_cells_by_cuboid.values() if not cells)
@@ -68,38 +64,73 @@ class TestStrategySelection:
 
     @pytest.mark.parametrize("strategy", ["join-prune", "full-groupby"])
     def test_forced_strategies_agree(self, rides_tiny, strategy):
-        """Both retrieval paths must materialize identical cell data."""
-        _assert_same_arrays_as_default(rides_tiny, ATTRS, THETA, [strategy])
-
-    def test_unknown_strategy_rejected(self, pipeline):
-        table, loss, dry, _ = pipeline
-        with pytest.raises(ValueError, match="unknown retrieval strategy"):
-            real_run(table, dry, loss, seed=1, force_strategy="hash-join")
+        """Either of Algorithm 2's two retrievals, run by hand, finds the
+        very rows ``real_run`` derives from the base cells."""
+        _assert_same_arrays_as_default(rides_tiny, ATTRS, THETA, REFERENCES[strategy])
 
 
-def _assert_same_arrays_as_default(table, attrs, theta, strategies):
-    """Deriving cuboid rows from base cells (the default) must hand the
-    greedy the *same arrays* as Algorithm 2's retrievals: same rows in
-    the same (ascending) order, cells in the same order. ``theta`` may
-    be a function of ``(table, loss, global sample)``."""
+def _groupby_reference(table, dry):
+    """Algorithm 2's full-GroupBy retrieval: per iceberg cuboid, group
+    the raw table by the cuboid's attributes and keep the iceberg keys —
+    ``(key, rows)`` in the dry run's cell order."""
+    reference = []
+    for gset, iceberg_keys in dry.iceberg_cells_by_cuboid.items():
+        groups = group_rows(table, gset)
+        rows = {
+            align_cell_key(gset, groups.decode_key(g), dry.attrs): groups.group_indices[g]
+            for g in range(groups.num_groups)
+        }
+        reference.extend((key, rows[key]) for key in iceberg_keys)
+    return reference
+
+
+def _join_prune_reference(table, dry):
+    """Algorithm 2's semi-join retrieval: per iceberg cuboid, keep only
+    the raw rows whose projected key is an iceberg key, group those
+    rows and map the groups back to raw-row indices."""
+    reference = []
+    for gset, iceberg_keys in dry.iceberg_cells_by_cuboid.items():
+        if not iceberg_keys:
+            continue  # nothing to join against: the cuboid is skipped
+        wanted = {}
+        for key in iceberg_keys:
+            lookup = dict(zip(dry.attrs, key))
+            wanted[tuple(lookup[a] for a in gset)] = key
+        columns = [table.column(a).to_list() for a in gset]
+        row_keys = list(zip(*columns)) if gset else [()] * table.num_rows
+        kept = np.asarray([i for i, k in enumerate(row_keys) if k in wanted], dtype=np.int64)
+        groups = group_rows(table.take(kept), gset)
+        rows = {
+            wanted[groups.decode_key(g)]: kept[groups.group_indices[g]]
+            for g in range(groups.num_groups)
+        }
+        reference.extend((key, rows[key]) for key in iceberg_keys)
+    return reference
+
+
+REFERENCES = {"full-groupby": _groupby_reference, "join-prune": _join_prune_reference}
+
+
+def _assert_same_arrays_as_default(table, attrs, theta, retrieve=_groupby_reference):
+    """Deriving cuboid rows from base cells (what ``real_run`` does) must
+    hand the greedy the *same arrays* as ``retrieve``, a by-hand
+    retrieval of Algorithm 2 (by default a GroupBy of the raw table per
+    cuboid): same rows in the same (ascending) order, cells in the same
+    order. ``theta`` may be a function of ``(table, loss, global
+    sample)``."""
     gs = draw_global_sample(table, np.random.default_rng(0))
     loss = MeanLoss("fare_amount")
     if callable(theta):
         theta = theta(table, loss, gs)
     dry = dry_run(table, attrs, loss, theta, gs)
-    default = real_run(table, dry, loss, seed=1, skip_sampling=True)
-    assert default.cells
-    for cell in default.cells:
+    real = real_run(table, dry, loss, seed=1)
+    reference = retrieve(table, dry)
+    assert real.cells
+    assert [c.key for c in real.cells] == [key for key, _ in reference]
+    for cell, (_, rows) in zip(real.cells, reference):
         assert np.all(np.diff(cell.raw_indices) > 0)
-    for strategy in strategies:
-        forced = real_run(
-            table, dry, loss, seed=1, skip_sampling=True, force_strategy=strategy
-        )
-        assert [c.key for c in forced.cells] == [c.key for c in default.cells]
-        for mine, theirs in zip(default.cells, forced.cells):
-            assert mine.raw_indices.dtype == theirs.raw_indices.dtype
-            assert np.array_equal(mine.raw_indices, theirs.raw_indices)
-        assert forced.decisions == default.decisions
+        assert cell.raw_indices.dtype == rows.dtype
+        assert np.array_equal(cell.raw_indices, rows)
     return dry
 
 
@@ -112,18 +143,14 @@ FIVE_ATTRS = ("vendor_name", "pickup_weekday") + ATTRS + ("rate_code",)
 
 
 class TestRetrievalPathsAgree:
-    STRATEGIES = ("join-prune", "full-groupby", "cost-model")
-
     def test_one_attribute_cube(self, rides_tiny):
-        _assert_same_arrays_as_default(rides_tiny, ("payment_type",), THETA, self.STRATEGIES)
+        _assert_same_arrays_as_default(rides_tiny, ("payment_type",), THETA)
 
     def test_five_attribute_cube(self, rides_small):
-        _assert_same_arrays_as_default(rides_small, FIVE_ATTRS, THETA, self.STRATEGIES)
+        _assert_same_arrays_as_default(rides_small, FIVE_ATTRS, THETA)
 
     def test_all_cuboid(self, rides_small):
-        dry = _assert_same_arrays_as_default(
-            rides_small, ATTRS, _half_the_whole_table_loss, self.STRATEGIES
-        )
+        dry = _assert_same_arrays_as_default(rides_small, ATTRS, _half_the_whole_table_loss)
         assert (None, None) in dry.iceberg_stats
 
 

@@ -90,14 +90,6 @@ class TestDiagnostics:
         assert graph.shortcut_pairs > 0
         assert graph.exact_checks == 0
 
-    def test_max_pairs_caps_candidates(self, rides_small):
-        loss = MeanLoss("fare_amount")
-        dry, real = build_pipeline(rides_small, loss, 0.05)
-        if len(real.cells) < 3:
-            pytest.skip("not enough iceberg cells")
-        capped = build_samgraph(rides_small, real.cells, loss, 0.05, max_pairs=1)
-        assert all(len(edges) <= 1 for edges in capped.out_edges)
-
     def test_num_edges(self, rides_small):
         loss = MeanLoss("fare_amount")
         dry, real = build_pipeline(rides_small, loss, 0.05)

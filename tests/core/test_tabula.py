@@ -41,6 +41,13 @@ class TestLifecycle:
         with pytest.raises(UnknownColumnError):
             Tabula(rides_tiny, config)
 
+    @pytest.mark.parametrize("theta", [float("nan"), 0.0, -0.1], ids=["nan", "zero", "negative"])
+    def test_config_rejects_non_positive_threshold(self, theta):
+        """A NaN θ makes every ``loss > θ`` false: no cell would be
+        iceberg and every answer would come back CERTIFIED."""
+        with pytest.raises(ValueError, match="threshold"):
+            TabulaConfig(cubed_attrs=ATTRS, threshold=theta, loss=MeanLoss("fare_amount"))
+
     def test_report_counts_consistent(self, rides_tiny):
         tabula = make_tabula(rides_tiny)
         report = tabula.initialize()

@@ -91,6 +91,24 @@ class TestBuild:
         assert document["loss"]["name"] == "my_loss"
         assert "CREATE AGGREGATE" in document["loss"]["declaration"]
 
+    @pytest.mark.parametrize("theta", ["nan", "0", "-0.1"])
+    def test_build_rejects_non_positive_theta(self, rides_csv, tmp_path, theta, capsys):
+        out = tmp_path / "cube.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "build",
+                    "--table", str(rides_csv),
+                    "--attrs", "payment_type",
+                    "--target", "fare_amount",
+                    f"--theta={theta}",
+                    "--out", str(out),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "θ must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestQuery:
     def test_query_prints_answer(self, cube_file, rides_csv, capsys):
