@@ -13,7 +13,7 @@ iceberg cuboids, so per-cuboid work in the real run and the SamGraph
 join over a few thousand cells both show. With ``--workers N`` the
 profile is coordinator-side only: pool workers are separate processes,
 so what shows up is the serial residue of the build — partition
-fan-out, shared-memory publication, merge fold, selection.
+fan-out, merge fold, selection.
 
 Usage:
     PYTHONPATH=src python scripts/profile_build.py --rows 20000 --out build_profile
@@ -84,8 +84,7 @@ def main() -> int:
         print(
             f"  {stage}: mode={execution.mode} "
             f"effective_workers={execution.effective_workers} "
-            f"fallback_kind={execution.fallback_kind or '-'} "
-            f"shm={execution.used_shared_memory}"
+            f"fallback_kind={execution.fallback_kind or '-'}"
         )
         if execution.degraded:
             print(f"    WARNING: pool degraded: {execution.fallback_reason}",

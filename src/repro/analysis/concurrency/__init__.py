@@ -3,7 +3,7 @@
 The TAB600-range sibling of the SQL analyzer: instead of loss bodies,
 it walks the *Python source of this repository* and enforces the
 conventions the runtime depends on — lock discipline around annotated
-shared state, shared-memory and file lifecycles, deadline propagation,
+shared state, file lifecycles, deadline propagation,
 and fork safety. :mod:`repro.sanitizer` is the dynamic counterpart;
 ``docs/static_analysis.md`` documents both.
 """

@@ -26,7 +26,6 @@ from repro.analysis.concurrency.model import ModuleModel
 from repro.analysis.concurrency.resources import (
     check_file_handles,
     check_replace_without_fsync,
-    check_shm_lifecycle,
 )
 from repro.analysis.concurrency.threads import check_thread_lifecycle
 from repro.diagnostics import Diagnostic, Severity, Span, sort_diagnostics
@@ -120,7 +119,6 @@ def _check_models(sources: List[Tuple[str, str]]) -> CheckResult:
         graph.collect(model)
         result.diagnostics.extend(check_guarded_access(model))
         result.diagnostics.extend(check_blocking_under_lock(model))
-        result.diagnostics.extend(check_shm_lifecycle(model))
         result.diagnostics.extend(check_file_handles(model))
         result.diagnostics.extend(check_replace_without_fsync(model))
         result.diagnostics.extend(check_fork_safety(model))

@@ -61,15 +61,7 @@ CODES: Dict[str, CodeInfo] = dict(
             "move the blocking work outside the `with` block and publish "
             "its result under the lock afterwards",
         ),
-        # -- resource lifecycle ------------------------------------------
-        _info(
-            "TAB604", Severity.WARNING, "shm-not-unlinked",
-            "A shared-memory segment is created but the function neither "
-            "unlinks it, returns it, stores it on self, nor enters it as "
-            "a context manager — the named segment outlives the process.",
-            "use `with share_...(...) as bundle:` or call "
-            "bundle.close(); bundle.unlink() in a finally block",
-        ),
+        # -- resource lifecycle (TAB604 is retired, not reused) ------------
         _info(
             "TAB605", Severity.WARNING, "unmanaged-file-handle",
             "open() is called outside a `with` statement and the handle "
@@ -107,11 +99,11 @@ CODES: Dict[str, CodeInfo] = dict(
         _info(
             "TAB608", Severity.ERROR, "fork-unsafe-capture",
             "A closure shipped to a process pool captures a lock, file "
-            "handle or shared-memory view from the parent — the child's "
+            "handle or socket from the parent — the child's "
             "copy is a different object (or a dead descriptor), so the "
             "'synchronization' silently synchronizes nothing.",
-            "pass plain data (names, descriptors, indices) to the worker "
-            "and re-open/attach inside it",
+            "pass plain data (names, paths, indices) to the worker "
+            "and re-open inside it",
         ),
     )
 )

@@ -1,8 +1,8 @@
 """Fork-safety check: TAB608.
 
 A closure handed to a *process* pool is pickled (spawn) or copied
-(fork); either way, a captured lock, file handle or shared-memory view
-in the child is a different object from the parent's. A lock that
+(fork); either way, a captured lock, file handle or socket in the
+child is a different object from the parent's. A lock that
 "synchronizes" across the boundary synchronizes nothing; a captured
 handle is a dead or aliased descriptor.
 
@@ -26,9 +26,8 @@ from repro.diagnostics import Diagnostic
 _POOL_CONSTRUCTORS = {"ProcessPoolExecutor", "Pool"}
 _SUBMIT_METHODS = {"submit", "map", "apply", "apply_async", "starmap", "imap"}
 #: Free-variable name fragments that indicate an unpicklable/unsharable
-#: resource: locks, handles, shm views, sockets.
-_SUSPECT_FRAGMENTS = ("lock", "shm", "segment", "bundle", "file", "handle",
-                      "sock", "conn", "_fh", "fd")
+#: resource: locks, handles, sockets.
+_SUSPECT_FRAGMENTS = ("lock", "file", "handle", "sock", "conn", "_fh", "fd")
 
 
 def _diag(

@@ -1,13 +1,13 @@
-"""Resource-lifecycle checks: TAB604, TAB605, TAB606.
+"""Resource-lifecycle checks: TAB605, TAB606.
 
-All three are per-function escape analyses: a resource-creating call is
+TAB605 is a per-function escape analysis: a resource-creating call is
 fine if the resource provably reaches a cleanup path — entered as a
 context manager, returned to the caller (ownership transfers), stored
 on ``self`` (a lifecycle method owns it), or explicitly
 closed/unlinked later in the same function. Anything else leaks.
 
 The checks are deliberately *syntactic*: they prove the easy 95% and
-leave the genuinely dynamic cases to the runtime sanitizer's shm/fd
+leave the genuinely dynamic cases to the runtime sanitizer's fd
 accounting. A false positive is silenced with ``# noqa: TAB60x`` plus
 a comment saying who owns the cleanup.
 """
@@ -21,10 +21,7 @@ from repro.analysis.concurrency import codes
 from repro.analysis.concurrency.model import ModuleModel, dotted_name
 from repro.diagnostics import Diagnostic
 
-#: Callees that create a shared-memory segment this process must unlink.
-_SHM_FACTORIES = {"share_arrays", "share_table"}
-#: Methods that release/transfer a segment or handle.
-_SHM_CLEANUP = {"unlink", "close"}
+#: Methods that release a file handle.
 _FILE_CLEANUP = {"close"}
 
 
@@ -49,20 +46,6 @@ def _functions(model: ModuleModel) -> Iterable[ast.AST]:
     for node in ast.walk(model.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def _is_shm_create(call: ast.Call) -> bool:
-    name = dotted_name(call.func)
-    if name is None:
-        return False
-    last = name.split(".")[-1]
-    if last in _SHM_FACTORIES:
-        return True
-    if last == "SharedMemory":
-        for kw in call.keywords:
-            if kw.arg == "create" and isinstance(kw.value, ast.Constant):
-                return bool(kw.value.value)
-    return False
 
 
 def _is_open_call(call: ast.Call) -> bool:
@@ -130,7 +113,7 @@ def _escapes_locally(model: ModuleModel, call: ast.Call) -> bool:
             len(parent.targets) == 1 and isinstance(parent.targets[0], ast.Name)
         )
     if isinstance(parent, ast.Call):
-        return True  # wrapped: SharedBundle(shm, ...) — wrapper owns it
+        return True  # wrapped: Wrapper(handle, ...) — wrapper owns it
     return False
 
 
@@ -236,12 +219,6 @@ def _check_lifecycle(
             if diag is not None:
                 findings.append(diag)
     return findings
-
-
-def check_shm_lifecycle(model: ModuleModel) -> List[Diagnostic]:
-    return _check_lifecycle(
-        model, "TAB604", _is_shm_create, _SHM_CLEANUP, "shared-memory segment"
-    )
 
 
 def check_file_handles(model: ModuleModel) -> List[Diagnostic]:

@@ -1,6 +1,6 @@
 """Thread-lifecycle check: TAB609.
 
-Ownership analysis in the spirit of the TAB604/605 resource checks,
+Ownership analysis in the spirit of the TAB605 resource check,
 specialized to background threads: a class that *stores* a
 ``threading.Thread`` on ``self`` (directly, or by appending it to a
 ``self`` collection) and starts it has claimed ownership of that

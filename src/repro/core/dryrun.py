@@ -199,8 +199,8 @@ def partition_stats(
 ) -> PartitionStats:
     """One partition's mergeable accumulators: ``[(base key, stats)]``.
 
-    The partition is a zero-copy ``slice`` view of the (possibly
-    shared-memory) table — no rows are materialized.
+    The partition is a zero-copy ``slice`` view of the table (in a
+    pool worker, the one it inherited) — no rows are materialized.
     """
     chunk = table.slice(*bounds)
     values = loss.extract(chunk)

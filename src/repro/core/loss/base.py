@@ -106,7 +106,8 @@ class LossFunction(abc.ABC):
                 )
         # asarray instead of astype: float64 columns (the common case)
         # pass through as views — no copy per extract call, which matters
-        # when the table is a shared-memory segment in a build worker.
+        # when a build worker reads the table it inherited from the
+        # coordinator.
         columns = [np.asarray(table.column(a).data, dtype=float) for a in self.target_attrs]
         if self.target_arity == 1:
             return columns[0]

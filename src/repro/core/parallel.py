@@ -22,21 +22,18 @@ build.
   depends on which worker or chunk ran it or in what order tasks
   completed.
 
-**Zero-copy fan-out.** When a pool is actually used, the large payloads
-travel through one :mod:`multiprocessing.shared_memory` segment
-(:mod:`repro.engine.shm`) instead of the pool's pickle channel: the dry
-run shares the raw table once (workers carve partitions out of it with
-zero-copy ``Table.slice`` views), and the real run shares the loss
-value vector plus a single concatenated row-index buffer — each
-sampling task is reduced to ``(slot, key, offset, length)``.
+**Fork inheritance.** Workers receive the raw table, the loss value
+vector and the concatenated row-index buffer as the pool initializer's
+arguments, which a ``fork`` child inherits with the parent's pages
+(nothing is pickled or copied); only under ``spawn`` are they pickled.
 
 **What is measured.** ``workers=2`` is *slower* than a plain build at
 every size recorded on the 2-core reference box (2.31 vs 1.92 s at 50 k
-rows, ≈ 6.0 vs 4.6 s at 100 k; ``core.parallel.pool_seconds`` 1.83 s,
-13.9 MB through shm): the pool fans out sampling, which is ≈ 6 % of a
-build, while cell retrieval (≈ 77 %) stays on the coordinator. Whether
-this module pays or goes is ROADMAP item 3; deleting it (and
-:mod:`repro.engine.shm`) leaves the stage functions untouched.
+rows, ≈ 6.0 vs 4.6 s at 100 k; ``core.parallel.pool_seconds`` 1.83 s):
+the pool fans out sampling, which is ≈ 6 % of a build, while cell
+retrieval (≈ 77 %) stays on the coordinator. Whether this module pays
+or goes is ROADMAP item 3; deleting it leaves the stage functions
+untouched.
 
 **Determinism contract.** Same ``(table, config)`` ⇒ same cube for any
 ``workers >= 1``, byte-identical on disk, including under a mid-build
@@ -60,10 +57,10 @@ import logging
 import multiprocessing
 import pickle
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,14 +68,6 @@ from repro.core.dryrun import DryRunResult, dry_run, partition_bounds, partition
 from repro.core.global_sample import GlobalSample
 from repro.core.loss.base import LossFunction
 from repro.core.realrun import FP_CELL_START, PendingCell, RealRunResult, real_run
-from repro.engine.shm import (
-    ArrayPackDescriptor,
-    TableDescriptor,
-    attach_arrays,
-    attach_table,
-    share_arrays,
-    share_table,
-)
 from repro.engine.table import Table
 from repro.resilience.faults import fault_point
 
@@ -112,21 +101,18 @@ class PoolExecution:
     #: ``""`` (no fallback), ``"planned"``, or ``"error"``.
     fallback_kind: str
     fallback_reason: str
-    used_shared_memory: bool
     #: units handed to the pool (dry-run partitions / sampling chunks).
     num_tasks: int
-    #: underlying work items (cells) when tasks are chunks.
-    num_items: int = 0
-    #: bytes placed in shared memory for this fan-out.
+    #: always 0: workers inherit their inputs, nothing is copied into
+    #: shared memory. Kept only because ``perf/traced.py`` reads it for
+    #: ``core.parallel.shared_bytes``; the benchmark change that drops
+    #: that metric drops this field too.
     shared_bytes: int = 0
 
     @property
     def degraded(self) -> bool:
         """True when parallelism was requested but lost to an error."""
         return self.fallback_kind == "error"
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
 
 
 def check_workers(workers: int) -> int:
@@ -156,31 +142,17 @@ def task_chunks(
 # ---------------------------------------------------------------------------
 # Worker-side state.
 #
-# Workers are primed by a pool initializer writing module globals. Large
-# payloads arrive as shared-memory descriptors and are attached as
-# zero-copy views; the inline path passes the objects themselves through
-# the same initializer, so pool and inline execution run identical code.
-# The task functions only unpack that state around the stage modules'
-# own per-partition / per-cell functions.
+# Workers are primed by a pool initializer writing module globals; the
+# inline path runs the same initializer in the coordinator, so pool and
+# inline execution run identical code. The task functions only unpack
+# that state around the stage modules' own per-partition / per-cell
+# functions.
 # ---------------------------------------------------------------------------
 
 _WORKER_STATE: dict = {}
 
 
-def _release_worker_state(stage: str) -> None:
-    """Drop one stage's state (coordinator-side after an inline run)."""
-    _WORKER_STATE.pop(stage, None)
-    segment = _WORKER_STATE.pop(stage + "_segment", None)
-    if segment is not None:
-        segment.close()
-
-
-def _init_dryrun_worker(table_ref, attrs, loss, sample_values, untrack=True) -> None:
-    if isinstance(table_ref, TableDescriptor):
-        table, segment = attach_table(table_ref, untrack=untrack)
-        _WORKER_STATE["dryrun_segment"] = segment
-    else:
-        table = table_ref
+def _init_dryrun_worker(table, attrs, loss, sample_values) -> None:
     _WORKER_STATE["dryrun"] = (table, attrs, loss, sample_values)
 
 
@@ -188,22 +160,18 @@ def _dryrun_partition(bounds: Tuple[int, int]):
     return partition_stats(*_WORKER_STATE["dryrun"], bounds)
 
 
-def _init_sampling_worker(arrays_ref, draw, untrack=True) -> None:
-    if isinstance(arrays_ref, ArrayPackDescriptor):
-        arrays, segment = attach_arrays(arrays_ref, untrack=untrack)
-        _WORKER_STATE["sampling_segment"] = segment
-    else:
-        arrays = arrays_ref
-    _WORKER_STATE["sampling"] = (arrays["values"], arrays["idx"], draw)
+def _init_sampling_worker(values, idx_all, draw) -> None:
+    _WORKER_STATE["sampling"] = (values, idx_all, draw)
 
 
 def _sample_chunk(chunk):
     """Sample a chunk of iceberg cells.
 
     ``chunk`` is a list of ``(slot, key, offset, length)``; the row
-    indices live at ``idx_all[offset:offset + length]`` in the shared
-    index buffer. Returns small ``(slot, SamplingResult)`` pairs — the
-    coordinator owns the raw index arrays and builds the entries.
+    indices live at ``idx_all[offset:offset + length]`` in the
+    concatenated index buffer. Returns small ``(slot, SamplingResult)``
+    pairs — the coordinator owns the raw index arrays and builds the
+    entries.
     """
     values, idx_all, draw = _WORKER_STATE["sampling"]
     return [
@@ -224,15 +192,6 @@ def _preferred_context():
     return multiprocessing.get_context()
 
 
-def _worker_untrack_flag(ctx) -> bool:
-    # Fork children share the parent's resource-tracker process; telling
-    # it to forget the segment would strip the coordinator's own
-    # registration (and two children would race the shared registry).
-    # Spawn children run their own tracker and must untrack, or their
-    # exit destroys the segment out from under everyone else.
-    return ctx.get_start_method() != "fork"
-
-
 def _map_with_pool(
     workers: int,
     initializer: Callable,
@@ -240,7 +199,6 @@ def _map_with_pool(
     func: Callable,
     tasks: Sequence,
     ordered: bool,
-    used_shared_memory: bool = False,
 ) -> Tuple[list, PoolExecution]:
     """Run ``func`` over ``tasks`` on a worker pool, or inline.
 
@@ -266,9 +224,7 @@ def _map_with_pool(
             fallback_reason=(
                 "" if workers <= 1 else f"only {num_tasks} task(s) to fan out"
             ),
-            used_shared_memory=used_shared_memory,
             num_tasks=num_tasks,
-            num_items=num_tasks,
         )
         return [func(t) for t in tasks], execution
     ctx = _preferred_context()
@@ -284,9 +240,7 @@ def _map_with_pool(
             mode="pool",
             fallback_kind="",
             fallback_reason="",
-            used_shared_memory=used_shared_memory,
             num_tasks=num_tasks,
-            num_items=num_tasks,
         )
     except (pickle.PicklingError, TypeError, AttributeError, OSError, ImportError) as exc:
         # Unpicklable loss under spawn, fd exhaustion, restricted
@@ -313,9 +267,7 @@ def _map_with_pool(
             mode="inline",
             fallback_kind="error",
             fallback_reason=reason,
-            used_shared_memory=used_shared_memory,
             num_tasks=num_tasks,
-            num_items=num_tasks,
         )
 
 
@@ -325,46 +277,28 @@ def _map_with_pool(
 
 
 def _map_partitions(workers: int, table, attrs, loss, sample_values, tasks):
-    """:data:`repro.core.dryrun.PartitionMap` over a pool: the raw table
-    goes into shared memory once and workers slice it without copying."""
-    bundle = None
-    initargs = (table, attrs, loss, sample_values, True)
-    if min(workers, len(tasks)) > 1:
-        bundle = share_table(table)
-        initargs = (
-            bundle.descriptor,
-            attrs,
-            loss,
-            sample_values,
-            _worker_untrack_flag(_preferred_context()),
-        )
+    """:data:`repro.core.dryrun.PartitionMap` over a pool: workers inherit
+    the raw table and slice their partitions out of it without copying."""
     try:
-        results, execution = _map_with_pool(
+        return _map_with_pool(
             workers=workers,
             initializer=_init_dryrun_worker,
-            initargs=initargs,
+            initargs=(table, attrs, loss, sample_values),
             func=_dryrun_partition,
             tasks=tasks,
             ordered=True,  # merge order must follow the grid
-            used_shared_memory=bundle is not None,
         )
-    finally:
-        _release_worker_state("dryrun")
-        if bundle is not None:
-            bundle.close()
-            bundle.unlink()
-    if bundle is not None:
-        execution = replace(execution, shared_bytes=bundle.nbytes)
-    return results, execution
+    finally:  # the inline path primed the coordinator's own state
+        _WORKER_STATE.pop("dryrun", None)
 
 
 def _sample_on_pool(workers: int, pending: Sequence[PendingCell], values, draw):
     """:data:`repro.core.realrun.Sampler` over a pool, in chunks of cells.
 
-    The loss value vector and one concatenated row-index buffer ride in
-    shared memory, so a task pickles down to ``(slot, key, offset,
-    length)``. Results come back in completion order; ``real_run`` slots
-    them into the canonical one.
+    Workers inherit the loss value vector and one concatenated row-index
+    buffer, so a task pickles down to ``(slot, key, offset, length)``.
+    Results come back in completion order; ``real_run`` slots them into
+    the canonical one.
     """
     fault_point(FP_CELL_START)
     lengths = [len(idx) for _, _, idx in pending]
@@ -375,35 +309,20 @@ def _sample_on_pool(workers: int, pending: Sequence[PendingCell], values, draw):
         (slot, key, int(offsets[i]), lengths[i])
         for i, (slot, key, _) in enumerate(pending)
     ]
-    effective = min(workers, len(specs))
-    chunk_list = [specs[lo:hi] for lo, hi in task_chunks(len(specs), effective)]
-
-    bundle = None
-    payload = {"values": values, "idx": idx_all}
-    initargs = (payload, draw, True)
-    if effective > 1:
-        bundle = share_arrays(payload)
-        initargs = (bundle.descriptor, draw, _worker_untrack_flag(_preferred_context()))
+    chunk_list = [
+        specs[lo:hi] for lo, hi in task_chunks(len(specs), min(workers, len(specs)))
+    ]
     try:
         chunk_results, execution = _map_with_pool(
             workers=workers,
             initializer=_init_sampling_worker,
-            initargs=initargs,
+            initargs=(values, idx_all, draw),
             func=_sample_chunk,
             tasks=chunk_list,
             ordered=False,  # slots restore order
-            used_shared_memory=bundle is not None,
         )
     finally:
-        _release_worker_state("sampling")
-        if bundle is not None:
-            bundle.close()
-            bundle.unlink()
-    execution = replace(
-        execution,
-        num_items=len(specs),
-        shared_bytes=bundle.nbytes if bundle is not None else 0,
-    )
+        _WORKER_STATE.pop("sampling", None)
     return chain.from_iterable(chunk_results), execution
 
 

@@ -14,10 +14,6 @@ the same annotations executable. When sanitize mode is on:
 - ``time.sleep`` and ``os.fsync`` are patched to record a violation
   when called while the current thread holds a sanitized lock (the
   dynamic mirror of ``TAB603``);
-- shared-memory segments created/attached through
-  :mod:`repro.engine.shm` are accounted, so a segment created but never
-  unlinked — or attached but never closed — by this process shows up
-  as a leak (the dynamic mirror of ``TAB604``);
 - :class:`~repro.resilience.deadline.Deadline` objects report
   themselves if they are garbage collected without ever having been
   consulted — a deadline someone created and then dropped on the floor
@@ -69,10 +65,6 @@ _meta = threading.Lock()
 _order_edges: Dict[Tuple[str, str], str] = {}
 # recorded violations: (kind, detail) in discovery order
 _violations: List[Tuple[str, str]] = []
-# shm accounting: name -> (creating pid, origin note)
-_shm_created: Dict[str, Tuple[int, str]] = {}
-# attached segments: id(token) -> (pid, name)
-_shm_attached: Dict[int, Tuple[int, str]] = {}
 # dropped-deadline accounting feeds _violations via weakref finalizers
 _deadlines_tracked = 0
 _fd_baseline: Optional[int] = None
@@ -268,56 +260,6 @@ def _remove_patches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory accounting (fed by repro.engine.shm)
-# ---------------------------------------------------------------------------
-
-
-def note_shm_created(name: str, origin: str = "") -> None:
-    if not _enabled:
-        return
-    with _meta:
-        _shm_created[name] = (os.getpid(), origin or _caller_site(2))
-
-
-def note_shm_unlinked(name: str) -> None:
-    if not _enabled:
-        return
-    with _meta:
-        _shm_created.pop(name, None)
-
-
-def note_shm_attached(token: object, name: str) -> None:
-    if not _enabled:
-        return
-    with _meta:
-        _shm_attached[id(token)] = (os.getpid(), name)
-
-
-def note_shm_detached(token: object) -> None:
-    if not _enabled:
-        return
-    with _meta:
-        _shm_attached.pop(id(token), None)
-
-
-def _shm_leaks() -> Dict[str, List[str]]:
-    """Live segments/attaches created by *this* process (fork-safe)."""
-    pid = os.getpid()
-    with _meta:
-        created = [
-            f"{name} (created at {origin})"
-            for name, (owner, origin) in _shm_created.items()
-            if owner == pid
-        ]
-        attached = [
-            f"{name} (attached, never closed)"
-            for _, (owner, name) in _shm_attached.items()
-            if owner == pid
-        ]
-    return {"created_not_unlinked": created, "attached_not_closed": attached}
-
-
-# ---------------------------------------------------------------------------
 # Deadline drop accounting (fed by repro.resilience.deadline)
 # ---------------------------------------------------------------------------
 
@@ -379,8 +321,6 @@ def reset() -> None:
     with _meta:
         _order_edges.clear()
         _violations.clear()
-        _shm_created.clear()
-        _shm_attached.clear()
         _deadlines_tracked = 0
     _fd_baseline = _open_fd_count() if _enabled else None
 
@@ -403,14 +343,12 @@ def report() -> Dict[str, object]:
     ``fd_delta`` is informational only (test frameworks legitimately
     open sockets/pipes); :func:`assert_clean` does not gate on it.
     """
-    leaks = _shm_leaks()
     fd_now = _open_fd_count()
     with _meta:
         return {
             "enabled": _enabled,
             "violations": list(_violations),
             "lock_order_edges": {f"{a}->{b}": s for (a, b), s in _order_edges.items()},
-            "shm_leaks": leaks,
             "deadlines_tracked": _deadlines_tracked,
             "fd_delta": (
                 fd_now - _fd_baseline
@@ -426,11 +364,6 @@ def assert_clean(snapshot: Optional[Dict[str, object]] = None) -> None:
     problems: List[str] = [
         f"[{kind}] {detail}" for kind, detail in snap.get("violations", [])  # type: ignore[union-attr]
     ]
-    leaks = snap.get("shm_leaks", {})
-    if isinstance(leaks, dict):
-        for bucket, entries in leaks.items():
-            for entry in entries:
-                problems.append(f"[shm-leak:{bucket}] {entry}")
     if problems:
         raise SanitizerError(
             "sanitizer recorded %d problem(s):\n  %s"

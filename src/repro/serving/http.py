@@ -187,6 +187,26 @@ def _number(kind: type, name: str, value: Any, default: Any = None) -> Any:
         raise ValueError(f"{name!r} must be a number, got {value!r}") from None
 
 
+def _json_object_body(handler: "_GatewayHandler") -> Dict[str, Any]:
+    """The POST body as a JSON object (``{}`` when empty).
+
+    Anything else is a ``ValueError`` (→ 400). A ``Content-Length`` that
+    is not a non-negative integer leaves the body's extent unknown, so
+    the connection closes after the answer.
+    """
+    try:
+        length = _number(int, "Content-Length", handler.headers.get("Content-Length"), 0)
+        if length < 0:
+            raise ValueError(f"'Content-Length' must be >= 0, got {length}")
+    except ValueError:
+        handler.close_connection = True
+        raise
+    body = json.loads(handler.rfile.read(length) or b"{}")
+    if not isinstance(body, dict):
+        raise ValueError("body must be a JSON object")
+    return body
+
+
 def _parse_query_request(
     handler: "_GatewayHandler",
 ) -> Tuple[List[Any], bool, Optional[float], int, Optional[Any], bool]:
@@ -197,10 +217,7 @@ def _parse_query_request(
     """
     fields: Mapping[str, Any]
     if handler.command == "POST":
-        length = int(handler.headers.get("Content-Length") or 0)
-        body = json.loads(handler.rfile.read(length) or b"{}")
-        if not isinstance(body, dict):
-            raise ValueError("body must be a JSON object")
+        body = _json_object_body(handler)
         fields = body
         geometry = body.get("geometry")  # shared by the whole batch
         progressive = bool(body.get("progressive", False))
@@ -441,16 +458,14 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 },
             )
             return
-        length = int(self.headers.get("Content-Length") or 0)
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(body, dict) or not isinstance(body.get("rows"), dict):
+            body = _json_object_body(self)
+            if not isinstance(body.get("rows"), dict):
                 raise ValueError("body must be {'rows': {column: [values...]}}")
             rows = _rows_from_json(body["rows"], self.gateway)
-            seed = body.get("seed")
-            if seed is not None:
-                seed = int(seed)
-        except (ValueError, json.JSONDecodeError) as exc:
+            seed = _number(int, "seed", body.get("seed"))
+            timeout = _number(float, "timeout", body.get("timeout"), 5.0)
+        except ValueError as exc:
             self._send_malformed(exc)
             return
         try:
@@ -458,7 +473,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 rows,
                 seed=seed,
                 wait_durable=bool(body.get("wait_durable", True)),
-                timeout=float(body.get("timeout", 5.0)),
+                timeout=timeout,
             )
         except TabulaError as exc:
             self._send_invalid(exc)
@@ -486,10 +501,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._send_json(503, payload)
 
     def _handle_reload(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError as exc:
+            body = _json_object_body(self)
+        except ValueError as exc:
             self._send_malformed(exc)
             return
         try:

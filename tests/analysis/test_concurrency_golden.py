@@ -25,7 +25,6 @@ CASES = {
     "TAB601": ("tab601_bad.py", "tab601_good.py"),
     "TAB602": ("tab602_bad.py", "tab602_good.py"),
     "TAB603": ("tab603_bad.py", "tab603_good.py"),
-    "TAB604": ("tab604_bad.py", "tab604_good.py"),
     "TAB605": ("tab605_bad.py", "tab605_good.py"),
     "TAB606": ("tab606_bad.py", "tab606_good.py"),
     "TAB607": ("tab607_bad.py", "tab607_good.py"),
@@ -111,7 +110,7 @@ def test_strict_severity_split():
     assert info("TAB601").severity == Severity.ERROR
     assert info("TAB602").severity == Severity.ERROR
     assert info("TAB608").severity == Severity.ERROR
-    for code in ("TAB603", "TAB604", "TAB605", "TAB606", "TAB607", "TAB609"):
+    for code in ("TAB603", "TAB605", "TAB606", "TAB607", "TAB609"):
         assert info(code).severity == Severity.WARNING
 
 

@@ -28,8 +28,8 @@ def _sanitize_session(request: pytest.FixtureRequest):
     Enables sanitize mode before the first test, lets the whole suite
     run (violations are recorded, never raised inline), and fails the
     session at teardown if anything was recorded — lock-order
-    inversions, blocking calls under locks, leaked shm segments,
-    dropped deadlines.
+    inversions, blocking calls under locks, unguarded access to
+    ``@guarded_by`` methods, dropped deadlines.
     """
     if not (request.config.getoption("--sanitize") or sanitizer.is_enabled()):
         yield

@@ -291,12 +291,27 @@ class TestFallbackAudit:
         # Degraded, not wrong: the inline rerun is the same computation.
         assert degraded.cell_losses == healthy.cell_losses
 
-    def test_execution_record_round_trips_to_dict(self, rides_tiny):
-        loss = MeanLoss("fare_amount")
-        gs = _global_sample(rides_tiny)
-        result = parallel_dry_run(rides_tiny, ATTRS, loss, 0.05, gs, workers=2)
-        doc = result.execution.to_dict()
-        assert doc["mode"] == "pool"
-        assert doc["used_shared_memory"] is True
-        assert doc["fallback_kind"] == ""
-        assert doc["shared_bytes"] > 0
+
+def test_parallel_build_allocates_no_shared_memory(rides_tiny, monkeypatch):
+    """Pool workers inherit the table from the coordinator: a build with
+    ``workers=2`` never creates a shared-memory segment, and still fans
+    both stages out and writes the serial build's cube."""
+    from multiprocessing import shared_memory
+
+    config = TabulaConfig(
+        cubed_attrs=ATTRS, threshold=0.05, loss=MeanLoss("fare_amount"), seed=11
+    )
+    serial = Tabula(rides_tiny, config)
+    serial.initialize(workers=1)
+
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the parallel build allocated shared memory")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", _refuse)
+    tabula = Tabula(rides_tiny, config)
+    report = tabula.initialize(workers=2)
+    for execution in (report.dry_run_execution, report.real_run_execution):
+        assert execution.mode == "pool"
+        assert execution.fallback_kind != "error"
+        assert execution.shared_bytes == 0
+    assert tabula.store.content_digest() == serial.store.content_digest()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.column import Column
+from repro.engine.schema import ColumnType
 from repro.engine.table import Table
 from repro.errors import SchemaError, UnknownColumnError
 
@@ -133,3 +134,31 @@ class TestRowSetOps:
     def test_sample_rows_caps_at_population(self, table):
         rng = np.random.default_rng(0)
         assert table.sample_rows(100, rng).num_rows == 4
+
+
+class TestSliceViews:
+    """``Table.slice`` is how a dry-run partition reads the raw table:
+    zero-copy views, identical to ``take`` over the same range."""
+
+    def test_table_slice_matches_take(self, table):
+        sliced = table.slice(1, 4)
+        taken = table.take(np.arange(1, 4, dtype=np.int64))
+        assert sliced.to_pydict() == taken.to_pydict()
+
+    def test_slice_shares_buffers(self, table):
+        sliced = table.slice(0, 3)
+        for name in table.column_names:
+            assert np.shares_memory(sliced[name].data, table[name].data)
+
+    def test_empty_and_full_slices(self, table):
+        assert table.slice(2, 2).num_rows == 0
+        assert table.slice(0, table.num_rows).to_pydict() == table.to_pydict()
+
+    def test_out_of_range_rejected(self):
+        col = Column("x", ColumnType.INT64, np.arange(4))
+        with pytest.raises(SchemaError):
+            col.slice(2, 9)
+        with pytest.raises(SchemaError):
+            col.slice(-1, 2)
+        with pytest.raises(SchemaError):
+            col.slice(3, 1)

@@ -154,3 +154,25 @@ class TestLargerScaleEquivalence:
         one = build_bytes(table, 1, tmp_path / "w1.json", theta=0.03)
         four = build_bytes(table, 4, tmp_path / "w4.json", theta=0.03)
         assert one == four
+
+
+@pytest.mark.slow
+def test_spawn_pool_matches_serial_build(rides_tiny, monkeypatch):
+    """Under ``spawn`` (the platforms without ``fork``) the initializer's
+    arguments are pickled to each worker rather than inherited: both
+    stages must still run in the pool and write the serial build's cube."""
+    import multiprocessing
+
+    from repro.core import parallel
+
+    serial = make(rides_tiny)
+    serial.initialize(workers=1)
+    monkeypatch.setattr(
+        parallel, "_preferred_context", lambda: multiprocessing.get_context("spawn")
+    )
+    spawned = make(rides_tiny)
+    report = spawned.initialize(workers=2)
+    for execution in (report.dry_run_execution, report.real_run_execution):
+        assert execution.mode == "pool"
+        assert execution.fallback_kind == ""
+    assert spawned.store.content_digest() == serial.store.content_digest()

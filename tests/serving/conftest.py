@@ -1,6 +1,8 @@
-"""Shared cluster plumbing for the sharded-serving integration tests.
+"""Shared plumbing for the serving tests.
 
-Boots *real* shard-worker subprocesses (``python -m
+A raw HTTP POST helper for the malformed-request cases, and the
+cluster plumbing for the sharded-serving integration tests:
+boots *real* shard-worker subprocesses (``python -m
 repro.serving.shard_worker``) over a small cube built once per session,
 with a fast supervision config so kill/restart cycles complete in
 seconds, not the production half-minute.
@@ -8,8 +10,11 @@ seconds, not the production half-minute.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import sys
+import urllib.parse
 from pathlib import Path
 
 import pytest
@@ -125,3 +130,23 @@ def cells_owned_by(tabula, placement, shard):
     return [
         c for c in tabula.store._cell_to_sample_id if placement.shard_of(c) == shard
     ]
+
+
+def post_raw(url, body, content_length=None):
+    """POST ``body`` bytes with any ``Content-Length``; (status, JSON body).
+
+    A server that drops the connection instead of answering raises here.
+    """
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.putrequest("POST", parts.path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader(
+            "Content-Length", str(len(body)) if content_length is None else content_length
+        )
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"{}")
+    finally:
+        conn.close()

@@ -15,6 +15,7 @@ from repro.resilience.faults import SlowIO, inject
 from repro.serving import ServingConfig, ServingGateway
 from repro.serving.gateway import FP_EXECUTE
 from repro.serving.http import make_server
+from tests.serving.conftest import post_raw
 
 ATTRS = ("passenger_count", "payment_type")
 
@@ -289,6 +290,20 @@ class TestReloadRoute:
         assert not body["ok"]
         assert body["generation"] == 2  # rollback: generation unchanged
         assert "cube_table" in body["error"]
+
+    @pytest.mark.parametrize(
+        "body, content_length",
+        [
+            pytest.param(b"[]", None, id="body-not-an-object"),
+            pytest.param(b"{}", "x", id="content-length-not-a-number"),
+        ],
+    )
+    def test_malformed_reload_is_400(self, served, body, content_length):
+        base, gateway = served
+        status, document = post_raw(f"{base}/reload", body, content_length)
+        assert status == 400
+        assert document["code"] == "TAB711"
+        assert gateway.stats()["generation"] == 1  # nothing was reloaded
 
 
 class TestBatchedQueryRoute:

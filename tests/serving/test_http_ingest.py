@@ -21,6 +21,7 @@ from repro.data import generate_nyctaxi
 from repro.ingest import IngestConfig, StreamIngestor
 from repro.serving import ServingConfig, ServingGateway
 from repro.serving.http import make_server
+from tests.serving.conftest import post_raw
 
 ATTRS = ("passenger_count", "payment_type")
 
@@ -179,11 +180,24 @@ class TestIngestRoute:
             server.server_close()
             gateway.close()
 
-    def test_malformed_rows_are_400(self, served_ingest):
-        base, _, _ = served_ingest
-        status, _, body = post_json(base + "/ingest", {"rows": "not-a-mapping"})
+    @pytest.mark.parametrize(
+        "fields, content_length",
+        [
+            pytest.param({"rows": "not-a-mapping"}, None, id="rows-not-a-mapping"),
+            pytest.param({"timeout": "abc"}, None, id="timeout-not-a-number"),
+            pytest.param({"seed": [1]}, None, id="seed-not-a-number"),
+            pytest.param({}, "x", id="content-length-not-a-number"),
+        ],
+    )
+    def test_malformed_rows_are_400(self, served_ingest, delta, fields, content_length):
+        base, _, ingestor = served_ingest
+        payload = {"rows": delta.slice(0, 5).to_pydict(), "seed": 3, **fields}
+        status, body = post_raw(
+            base + "/ingest", json.dumps(payload).encode("utf-8"), content_length
+        )
         assert status == 400
         assert body["code"] == "TAB711"
+        assert ingestor.watermarks()["submitted_seq"] == 0  # nothing was submitted
 
 
 class TestIngestVisibility:
