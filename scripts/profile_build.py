@@ -10,13 +10,17 @@ table and writes two artifacts:
 The default is the build the benchmark of record times (``perf/``'s
 cube M): serial, five cubed attributes, mean loss, θ = 0.05 — thirty-odd
 iceberg cuboids, so per-cuboid work in the real run and the SamGraph
-join over a few thousand cells both show. With ``--workers N`` the
-profile is coordinator-side only: pool workers are separate processes,
-so what shows up is the serial residue of the build — partition
-fan-out, merge fold, selection.
+join over a few thousand cells both show. ``--cube heatmap`` profiles
+``perf/``'s cube H instead (the same five attributes, heat-map loss on
+the pickup coordinates, θ = 0.006 unless ``--theta`` says otherwise),
+where the distance kernel of the dry run and of the SamGraph's exact
+checks shows. With ``--workers N`` the profile is coordinator-side
+only: pool workers are separate processes, so what shows up is the
+serial residue of the build — partition fan-out, merge fold, selection.
 
 Usage:
     PYTHONPATH=src python scripts/profile_build.py --rows 20000 --out build_profile
+    PYTHONPATH=src python scripts/profile_build.py --cube heatmap --out heatmap_profile
 """
 
 import argparse
@@ -32,17 +36,24 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=None,
                         help="profile initialize(workers=N) instead of the serial build")
-    parser.add_argument("--theta", type=float, default=0.05)
+    parser.add_argument("--cube", choices=("mean", "heatmap"), default="mean",
+                        help="mean: perf's cube M; heatmap: perf's cube H")
+    parser.add_argument("--theta", type=float, default=None,
+                        help="default: 0.05 for mean, 0.006 for heatmap")
     parser.add_argument("--top", type=int, default=40,
                         help="rows of the text report")
     parser.add_argument("--out", default="build_profile",
                         help="artifact basename (writes <out>.prof and <out>.txt)")
     args = parser.parse_args()
 
-    from repro.core.loss import MeanLoss
+    from repro.core.loss import HeatmapLoss, MeanLoss
     from repro.core.tabula import Tabula, TabulaConfig
     from repro.data import generate_nyctaxi
 
+    default_theta, make_loss = {
+        "mean": (0.05, lambda: MeanLoss("fare_amount")),
+        "heatmap": (0.006, lambda: HeatmapLoss("pickup_x", "pickup_y")),
+    }[args.cube]
     table = generate_nyctaxi(num_rows=args.rows, seed=args.seed)
     tabula = Tabula(
         table,
@@ -50,8 +61,8 @@ def main() -> int:
             cubed_attrs=(
                 "payment_type", "rate_code", "passenger_count", "pickup_weekday", "vendor_name",
             ),
-            threshold=args.theta,
-            loss=MeanLoss("fare_amount"),
+            threshold=default_theta if args.theta is None else args.theta,
+            loss=make_loss(),
             seed=args.seed,
         ),
     )
@@ -76,7 +87,7 @@ def main() -> int:
         ("real_run", report.real_run_execution),
     ]
     how = f"workers={args.workers}" if args.workers else ""
-    print(f"profiled initialize({how}) over {args.rows} rows")
+    print(f"profiled initialize({how}) of the {args.cube} cube over {args.rows} rows")
     for stage, execution in executions:
         if execution is None:
             print(f"  {stage}: no execution record (nothing fanned out)")

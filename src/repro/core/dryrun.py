@@ -5,7 +5,9 @@ GroupBys. Because the *loss* function is algebraic, the dry run instead:
 
 1. scans the raw table **once** to build the base cuboid (GroupBy over
    all cubed attributes), computing each base cell's distributive loss
-   statistics against the global sample;
+   statistics against the global sample — one batch
+   :meth:`~repro.core.loss.base.LossFunction.group_stats` call per
+   partition, not one loss-kernel call per base cell;
 2. derives every other cuboid by merging base-cell statistics upward
    through the lattice — no further raw-data access;
 3. marks each cell whose ``loss(cell data, Sam_global) > θ`` as an
@@ -200,15 +202,17 @@ def partition_stats(
     """One partition's mergeable accumulators: ``[(base key, stats)]``.
 
     The partition is a zero-copy ``slice`` view of the table (in a
-    pool worker, the one it inherited) — no rows are materialized.
+    pool worker, the one it inherited) — no rows are materialized. Its
+    base cells' statistics come from one :meth:`LossFunction.group_stats`
+    call for the whole partition, so a loss with a batch kernel (the
+    distance losses: one nearest-sample query) runs it once per
+    partition, not once per base cell.
     """
     chunk = table.slice(*bounds)
     values = loss.extract(chunk)
     groups = group_rows(chunk, attrs)
-    return [
-        (groups.decode_key(g), loss.stats(values[idx], sample_values))
-        for g, idx in enumerate(groups.group_indices)
-    ]
+    stats = loss.group_stats(values, sample_values, groups.group_indices)
+    return [(groups.decode_key(g), s) for g, s in enumerate(stats)]
 
 
 def merge_partition_stats(

@@ -15,7 +15,11 @@ Three views of the same quantity ``loss(Raw, Sam)``:
        loss(raw, sam) == loss_from_stats(stats(raw, sam), prepare_sample(sam))
 
    and ``stats`` over a concatenation equals ``merge_stats`` of the
-   parts.
+   parts. :meth:`LossFunction.group_stats` and
+   :meth:`LossFunction.losses` ask the same questions for many groups
+   (or many raw sets) against one sample at once; they default to a loop
+   over the scalar forms, and an override must return exactly what that
+   loop returns.
 3. **Greedy** — :meth:`LossFunction.greedy_state` returns an incremental
    evaluator used by the Algorithm 1 sampler: "what would the loss be if
    tuple *i* joined the sample?", answerable without re-scanning.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -90,7 +94,11 @@ class LossFunction(abc.ABC):
         """Pull the target-attribute values out of ``table``.
 
         Returns a float array of shape ``(n,)`` for 1-D losses or
-        ``(n, 2)`` for spatial/regression losses.
+        ``(n, 2)`` for spatial/regression losses. Every path that
+        computes a loss reads its values through here, so a NaN or ±inf
+        target value is refused (:class:`LossFunctionError` naming the
+        attribute and the count) instead of turning into a NaN loss,
+        which compares false against θ and would certify anything.
         """
         if len(self.target_attrs) != self.target_arity:
             raise LossFunctionError(
@@ -109,6 +117,14 @@ class LossFunction(abc.ABC):
         # when a build worker reads the table it inherited from the
         # coordinator.
         columns = [np.asarray(table.column(a).data, dtype=float) for a in self.target_attrs]
+        for attr, column in zip(self.target_attrs, columns):
+            bad = len(column) - int(np.count_nonzero(np.isfinite(column)))
+            if bad:
+                raise LossFunctionError(
+                    f"{self.name}: target attribute {attr!r} has {bad} non-finite "
+                    "row(s) (NaN or ±inf); the loss is undefined on them, so no "
+                    "answer over them could be certified"
+                )
         if self.target_arity == 1:
             return columns[0]
         return np.column_stack(columns)
@@ -124,6 +140,10 @@ class LossFunction(abc.ABC):
         """Convenience: evaluate on tables rather than value arrays."""
         return self.loss(self.extract(raw), self.extract(sample))
 
+    def losses(self, raws: Sequence[np.ndarray], sample: np.ndarray) -> np.ndarray:
+        """:meth:`loss` of each raw value array against one ``sample``."""
+        return np.asarray([self.loss(raw, sample) for raw in raws], dtype=float)
+
     # ------------------------------------------------------------------
     # Algebraic decomposition (dry-run support)
     # ------------------------------------------------------------------
@@ -134,6 +154,12 @@ class LossFunction(abc.ABC):
     @abc.abstractmethod
     def stats(self, raw: np.ndarray, sample: np.ndarray) -> tuple:
         """Distributive sufficient statistics of ``raw`` w.r.t. ``sample``."""
+
+    def group_stats(
+        self, values: np.ndarray, sample: np.ndarray, groups: Sequence[np.ndarray]
+    ) -> List[tuple]:
+        """:meth:`stats` of ``values[idx]`` for each index array in ``groups``."""
+        return [self.stats(values[idx], sample) for idx in groups]
 
     @abc.abstractmethod
     def merge_stats(self, left: tuple, right: tuple) -> tuple:

@@ -62,6 +62,31 @@ class AvgMinDistanceLoss(LossFunction):
         dmin = pairwise_min_distance(raw, sample, self.metric)
         return (float(len(raw)), float(np.sum(dmin)))
 
+    # -- batch forms ----------------------------------------------------------
+    # A row's nearest-sample distance does not depend on which other rows
+    # share the query, so one ``pairwise_min_distance`` call (one k-d
+    # tree over the sample) serves every group. Each group then reduces
+    # the same values in the same order with the same ``np.sum`` /
+    # ``np.mean`` as the scalar form, which keeps the results bit-equal
+    # (``np.add.reduceat`` would not: its summation order differs).
+
+    def group_stats(self, values, sample, groups):
+        if len(sample) == 0:
+            return super().group_stats(values, sample, groups)
+        dmin = pairwise_min_distance(values, sample, self.metric)
+        return [(float(len(idx)), float(np.sum(dmin[idx]))) for idx in groups]
+
+    def losses(self, raws, sample):
+        if len(sample) == 0 or not raws:
+            return super().losses(raws, sample)
+        dmin = pairwise_min_distance(np.concatenate(raws), sample, self.metric)
+        out = np.empty(len(raws))
+        stop = 0
+        for i, raw in enumerate(raws):
+            start, stop = stop, stop + len(raw)
+            out[i] = float(np.mean(dmin[start:stop])) if stop > start else 0.0
+        return out
+
     def merge_stats(self, left: tuple, right: tuple) -> tuple:
         return (left[0] + right[0], left[1] + right[1])
 

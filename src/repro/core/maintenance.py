@@ -192,9 +192,7 @@ def plan_append(tabula: Tabula, new_rows: Table, seed: int = 0) -> MaintenancePl
     delta_values = loss.extract(new_rows)
     base = group_rows(new_rows, attrs)
     base_keys = [base.decode_key(g) for g in range(base.num_groups)]
-    base_stats = [
-        loss.stats(delta_values[idx], sample_values) for idx in base.group_indices
-    ]
+    base_stats = loss.group_stats(delta_values, sample_values, base.group_indices)
     positions = {attr: i for i, attr in enumerate(attrs)}
     delta_stats: Dict[CellKey, tuple] = {}
     for gset in grouping_sets(attrs):

@@ -11,7 +11,9 @@ it only persists more samples than strictly necessary.
 This implementation accelerates the join with per-loss hooks:
 statistics shortcuts answer the mean/regression condition exactly
 without raw data, and a triangle-inequality lower bound prunes most
-distance-loss pairs.
+distance-loss pairs. The exact checks left for one source sample are
+one :meth:`~repro.core.loss.base.LossFunction.losses` call, which the
+distance losses answer with a single nearest-sample query.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from repro.core.loss.base import LossFunction
 from repro.core.realrun import IcebergCellEntry
 from repro.engine.table import Table
 
-#: Above 800 cells a source sample's *exact* checks (distance losses,
-#: where only a lower bound is available) stop after this many
-#: evaluations; candidates are tried in ascending-bound order, so the
-#: most promising representation edges are found first.
+#: Up to this many cells the join decides every pair.
+EXHAUSTIVE_MAX_CELLS = 800
+#: Above it, a source sample's *exact* checks (distance losses, where
+#: only a lower bound is available) stop after this many evaluations;
+#: candidates are tried in ascending-bound order, so the most promising
+#: representation edges are found first.
 EXACT_BUDGET = 64
 #: ...or after this many consecutive failures — bound-ordered candidates
 #: rarely succeed after a streak of misses.
@@ -70,10 +74,11 @@ def build_samgraph(
 ) -> SamGraph:
     """Run the representation join over all iceberg cells.
 
-    Up to 800 cells every pair is decided. Above that, a source
-    sample's exact checks stop at :data:`EXACT_BUDGET` evaluations or
-    :data:`MISS_STREAK_CUTOFF` misses in a row, so the graph may miss
-    edges — never admit a wrong one.
+    Up to :data:`EXHAUSTIVE_MAX_CELLS` cells every pair is decided.
+    Above that, a source sample's exact checks stop at
+    :data:`EXACT_BUDGET` evaluations or :data:`MISS_STREAK_CUTOFF`
+    misses in a row, so the graph may miss edges — never admit a wrong
+    one.
 
     Args:
         table: the raw table (cells hold row indices into it).
@@ -98,7 +103,7 @@ def build_samgraph(
     # Large graphs keep EXACT_BUDGET / MISS_STREAK_CUTOFF — the paper
     # explicitly allows a non-exhaustive join (it costs footprint, never
     # correctness).
-    budgeted = n > 800
+    budgeted = n > EXHAUSTIVE_MAX_CELLS
     values = loss.extract(table)
     sample_values = [values[c.sample_indices] for c in cells]
     raw_values = [values[c.raw_indices] for c in cells]
@@ -164,10 +169,18 @@ def build_samgraph(
                 bounded_order = True
         if candidates is None:
             candidates = [u for u in range(n) if u != v]
+        scalar_hooks = use_accelerators and prepared is None
+        exact_losses = None
+        if not scalar_hooks:
+            # Without scalar hooks every candidate the walk visits is
+            # checked exactly, in order, so the checks are one batch —
+            # cut at the budget when the walk can never pass it.
+            batch = candidates[:EXACT_BUDGET] if bounded_order and budgeted else candidates
+            exact_losses = loss.losses([raw_values[u] for u in batch], sam_v)
         exact_done = 0
         miss_streak = 0
         for u in candidates:
-            if use_accelerators and prepared is None:
+            if scalar_hooks:
                 quick = loss.representation_shortcut(cells[u].stats, aux[u], sam_v)
                 if quick is not None:
                     shortcut += 1
@@ -182,9 +195,13 @@ def build_samgraph(
                 exact_done >= EXACT_BUDGET or miss_streak >= MISS_STREAK_CUTOFF
             ):
                 break
+            if exact_losses is None:
+                value = loss.loss(raw_values[u], sam_v)
+            else:
+                value = exact_losses[exact_done]
             exact += 1
             exact_done += 1
-            if loss.loss(raw_values[u], sam_v) <= threshold:
+            if value <= threshold:
                 edges.append(u)
                 miss_streak = 0
             else:

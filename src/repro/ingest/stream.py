@@ -342,6 +342,9 @@ class StreamIngestor:
                 f"ingested rows schema {rows.schema.names} does not match "
                 f"the table schema {self.tabula.table.schema.names}"
             )
+        # The apply would refuse a non-finite target value anyway; refuse
+        # it here, before the batch can reach the WAL and be replayed.
+        self.tabula.config.loss.extract(rows)
         with self._state_lock:
             self._counters["offered"] += 1
             if self._closed or self._failure:

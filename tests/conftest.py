@@ -8,7 +8,20 @@ import pytest
 from repro import sanitizer
 from repro.core.loss import HeatmapLoss, HistogramLoss, MeanLoss, RegressionLoss
 from repro.data import generate_nyctaxi
+from repro.engine.column import Column
 from repro.engine.table import Table
+
+
+def with_non_finite(table: Table, attr: str, rows, value: float = float("nan")) -> Table:
+    """``table`` with ``attr`` set to ``value`` at ``rows``, column order kept."""
+    columns = []
+    for column in table.columns():
+        if column.name == attr:
+            data = column.data.astype(float)
+            data[list(rows)] = value
+            column = Column(column.name, column.ctype, data)
+        columns.append(column)
+    return Table(columns)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.loss.base import pairwise_min_distance
+from repro.core.loss.base import _KDTREE_MIN_ELEMENTS, LossFunction, pairwise_min_distance
 from repro.core.loss.distance import AvgMinDistanceLoss
 from repro.core.loss.heatmap import HeatmapLoss
 from repro.core.loss.histogram import HistogramLoss
+from repro.engine.table import Table
 from repro.errors import LossFunctionError
 
 points_1d = st.lists(
@@ -141,6 +142,84 @@ class TestGreedy:
         state_chunked.add(0)
         chunked = state_chunked.losses_if_added(np.arange(50))
         np.testing.assert_allclose(full, chunked)
+
+
+BATCH_LOSSES = {
+    "heatmap": lambda: HeatmapLoss("x", "y"),
+    "histogram": lambda: HistogramLoss("v"),
+    "manhattan": lambda: AvgMinDistanceLoss(("x", "y"), metric="manhattan"),
+}
+
+
+def _points(loss, n, rng):
+    return rng.random((n,) if loss.target_arity == 1 else (n, loss.target_arity))
+
+
+class TestBatchForms:
+    """``group_stats`` / ``losses`` answer with one nearest-sample query
+    and must equal the base class's scalar loops *bit for bit*: the dry
+    run's cell statistics and the SamGraph's edges (hence every cube
+    digest) are built from them."""
+
+    SAMPLE_ROWS = 1_000
+    #: empty, single-row, matrix-sized (30 × 1 000 < 50 000) and
+    #: tree-sized (200 × 1 000 ≥ 50 000) groups in one chunk.
+    SIZES = (0, 1, 30, 200, 1_769)
+
+    def _case(self, loss, sample_rows):
+        rng = np.random.default_rng(sample_rows)
+        values = _points(loss, sum(self.SIZES), rng)
+        sample = _points(loss, sample_rows, rng)
+        cuts = np.cumsum(self.SIZES)[:-1]
+        groups = [np.sort(g) for g in np.split(rng.permutation(len(values)), cuts)]
+        return values, sample, groups
+
+    def test_sizes_straddle_the_tree_cutoff(self):
+        assert 30 * self.SAMPLE_ROWS < _KDTREE_MIN_ELEMENTS <= 200 * self.SAMPLE_ROWS
+
+    @pytest.mark.parametrize("sample_rows", [0, SAMPLE_ROWS], ids=["empty-sample", "sample"])
+    @pytest.mark.parametrize("name", sorted(BATCH_LOSSES))
+    def test_group_stats_equal_scalar_loop(self, name, sample_rows):
+        loss = BATCH_LOSSES[name]()
+        values, sample, groups = self._case(loss, sample_rows)
+        batch = loss.group_stats(values, sample, groups)
+        assert batch == LossFunction.group_stats(loss, values, sample, groups)
+        assert batch[0] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("sample_rows", [0, SAMPLE_ROWS], ids=["empty-sample", "sample"])
+    @pytest.mark.parametrize("name", sorted(BATCH_LOSSES))
+    def test_losses_equal_scalar_loop(self, name, sample_rows):
+        loss = BATCH_LOSSES[name]()
+        values, sample, groups = self._case(loss, sample_rows)
+        raws = [values[g] for g in groups]
+        batch = loss.losses(raws, sample)
+        assert np.array_equal(batch, LossFunction.losses(loss, raws, sample))
+        assert batch[0] == 0.0
+        assert loss.losses([], sample).shape == (0,)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_tree_equals_matrix(self, monkeypatch, dims, metric):
+        """What the batch forms' bit identity rests on: a row measured
+        by the k-d tree (in a big batch) and by the distance matrix (in
+        a small scalar call) gets the same nearest distance."""
+        import repro.core.loss.base as loss_base
+
+        rng = np.random.default_rng(dims)
+        raw = rng.random(3_000) if dims == 1 else rng.random((3_000, dims))
+        sample = rng.random(500) if dims == 1 else rng.random((500, dims))
+        tree = pairwise_min_distance(raw, sample, metric)
+        monkeypatch.setattr(loss_base, "_KDTREE_MIN_ELEMENTS", 10**18)
+        matrix = pairwise_min_distance(raw, sample, metric)
+        assert np.array_equal(tree, matrix)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_extract_names_attribute_and_count(self, value):
+        table = Table.from_pydict({"x": [0.1, value, value], "y": [0.2, 0.3, 0.4]})
+        with pytest.raises(LossFunctionError, match="'x' has 2 non-finite"):
+            HeatmapLoss("x", "y").extract(table)
 
 
 class TestRepresentationBound:

@@ -14,8 +14,16 @@ import pytest
 
 from repro.core.loss import HeatmapLoss, MeanLoss
 from repro.core.tabula import Tabula, TabulaConfig
+from repro.data import generate_nyctaxi
 
 ATTRS = ("passenger_count", "payment_type", "rate_code")
+#: The benchmark's cubed attributes.
+PERF_ATTRS = ("payment_type", "rate_code", "passenger_count", "pickup_weekday", "vendor_name")
+
+
+@pytest.fixture(scope="module")
+def taxi_50k():
+    return generate_nyctaxi(50_000, seed=0)
 
 CASES = {
     "mean-small": (
@@ -47,6 +55,19 @@ CASES = {
             pool_size=50,
         ),
         "b1637fa5dcda5ab0909674c039db6e18016efc5936feaa101673907eb9b08941",
+    ),
+    # The benchmark's heat-map cube: large enough that most base cells'
+    # nearest-sample distances come from the k-d tree, not the distance
+    # matrix, and recorded before the distance losses measured a whole
+    # partition (and a sample's SamGraph checks) in one batch.
+    "heatmap-50k": (
+        "taxi_50k",
+        dict(
+            cubed_attrs=PERF_ATTRS,
+            threshold=0.006,
+            loss=HeatmapLoss("pickup_x", "pickup_y"),
+        ),
+        "def404273b8ee330846bf075bded2fd89d4403e68cd0a3fb99522f9a89d0e746",
     ),
 }
 

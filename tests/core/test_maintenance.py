@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.loss import HistogramLoss, MeanLoss
 from repro.core.maintenance import append_rows
-from repro.core.tabula import Tabula, TabulaConfig
+from repro.core.tabula import GuaranteeStatus, Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
 from repro.engine.cube import CubeCells
 from repro.engine.table import Table
-from repro.errors import CubeNotInitializedError, TabulaError
+from repro.errors import CubeNotInitializedError, LossFunctionError, TabulaError
+from tests.conftest import with_non_finite
 
 ATTRS = ("passenger_count", "payment_type")
 THETA = 0.05
@@ -151,6 +152,23 @@ class TestErrors:
         tabula = build(rides_tiny)
         with pytest.raises(TabulaError, match="schema"):
             append_rows(tabula, Table.from_pydict({"x": [1.0]}))
+
+    @pytest.mark.parametrize(
+        "loss,theta", [(MeanLoss("fare_amount"), THETA), (HistogramLoss("fare_amount"), 0.05)],
+        ids=["mean", "histogram"],
+    )
+    def test_non_finite_delta_rejected_untouched(self, rides_small, loss, theta):
+        """50 NaN fares used to append cleanly: the cube kept answering
+        CERTIFIED while ``actual_loss`` of the grown table was NaN."""
+        tabula = build(rides_small, loss=loss, theta=theta)
+        digest = tabula.store.content_digest()
+        delta = with_non_finite(generate_nyctaxi(num_rows=200, seed=4), "fare_amount", range(50))
+        with pytest.raises(LossFunctionError, match="'fare_amount' has 50 non-finite"):
+            append_rows(tabula, delta)
+        assert tabula.table.num_rows == rides_small.num_rows
+        assert tabula.store.content_digest() == digest
+        assert tabula.query({}).guarantee is GuaranteeStatus.CERTIFIED
+        assert tabula.actual_loss({}) <= theta
 
     def test_restored_cube_rejected(self, rides_small, tmp_path):
         from repro.core.persistence import load_cube, save_cube

@@ -5,12 +5,18 @@ import pytest
 
 from repro.core.dryrun import dry_run
 from repro.core.global_sample import draw_global_sample
+from repro.core.loss.base import LossFunction
+from repro.core.loss.distance import AvgMinDistanceLoss
+from repro.core.loss.heatmap import HeatmapLoss
 from repro.core.loss.histogram import HistogramLoss
 from repro.core.loss.mean import MeanLoss
 from repro.core.realrun import real_run
+from repro.core import samgraph
 from repro.core.samgraph import build_samgraph
 
 ATTRS = ("passenger_count", "payment_type")
+#: (EXACT_BUDGET, MISS_STREAK_CUTOFF) per budgeted-walk variant.
+BUDGETS = {"budget-cut": (3, 8), "miss-streak": (5, 2)}
 
 
 def build_pipeline(table, loss, theta, seed=0):
@@ -129,6 +135,50 @@ class TestBatchHooks:
         for u in range(len(cells)):
             scalar = loss.representation_lower_bound(stats_list[u], aux[u], sam)
             assert batch[u] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant", ["exhaustive", "budget-cut", "miss-streak", "bruteforce"]
+    )
+    @pytest.mark.parametrize(
+        "loss_factory,theta",
+        [
+            (lambda: HeatmapLoss("pickup_x", "pickup_y"), 0.003),
+            (lambda: HistogramLoss("fare_amount"), 0.02),
+        ],
+        ids=["heatmap", "histogram"],
+    )
+    def test_batched_exact_checks_equal_per_pair_loop(
+        self, rides_small, monkeypatch, loss_factory, theta, variant
+    ):
+        """A source sample's exact checks are one ``losses`` call; the
+        walk must consume them exactly as it consumed per-pair
+        ``loss`` calls — same checks counted, same edges, same order."""
+        loss = loss_factory()
+        _, real = build_pipeline(rides_small, loss, theta)
+        cells = real.cells
+        assert len(cells) >= 2
+        if variant in BUDGETS:
+            # The budgeted walk (and its budget-cut batch) at a size a
+            # unit test affords: every graph counts as large, the cells
+            # repeat so walks have candidates to cut, and one of the two
+            # cutoffs is small enough to end every walk.
+            budget, streak = BUDGETS[variant]
+            monkeypatch.setattr(samgraph, "EXHAUSTIVE_MAX_CELLS", 0)
+            monkeypatch.setattr(samgraph, "EXACT_BUDGET", budget)
+            monkeypatch.setattr(samgraph, "MISS_STREAK_CUTOFF", streak)
+            cells = cells * 4
+        accelerated = variant != "bruteforce"
+        batched = build_samgraph(
+            rides_small, cells, loss, theta, use_accelerators=accelerated
+        )
+        monkeypatch.setattr(AvgMinDistanceLoss, "losses", LossFunction.losses)
+        looped = build_samgraph(
+            rides_small, cells, loss, theta, use_accelerators=accelerated
+        )
+        assert batched.exact_checks == looped.exact_checks > 0
+        assert len(batched.out_edges) == len(looped.out_edges)
+        for mine, theirs in zip(batched.out_edges, looped.out_edges):
+            assert np.array_equal(mine, theirs)
 
     def test_accelerated_graph_equals_bruteforce_for_mean(self, rides_small):
         loss = MeanLoss("fare_amount")

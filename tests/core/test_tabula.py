@@ -9,7 +9,13 @@ from repro.core.loss.mean import MeanLoss
 from repro.core.tabula import GuaranteeStatus, Tabula, TabulaConfig
 from repro.engine.cube import CubeCells
 from repro.engine.expressions import Comparison, Equals
-from repro.errors import CubeNotInitializedError, InvalidQueryError, UnknownColumnError
+from repro.errors import (
+    CubeNotInitializedError,
+    InvalidQueryError,
+    LossFunctionError,
+    UnknownColumnError,
+)
+from tests.conftest import with_non_finite
 
 ATTRS = ("passenger_count", "payment_type")
 
@@ -47,6 +53,24 @@ class TestLifecycle:
         iceberg and every answer would come back CERTIFIED."""
         with pytest.raises(ValueError, match="threshold"):
             TabulaConfig(cubed_attrs=ATTRS, threshold=theta, loss=MeanLoss("fare_amount"))
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "workers2"])
+    @pytest.mark.parametrize(
+        "loss_factory,attr",
+        [
+            (lambda: MeanLoss("fare_amount"), "fare_amount"),
+            (lambda: HeatmapLoss("pickup_x", "pickup_y"), "pickup_x"),
+        ],
+        ids=["mean", "heatmap"],
+    )
+    def test_non_finite_target_refuses_to_build(self, rides_small, loss_factory, attr, workers):
+        """A NaN loss compares false against θ: before the check, a NaN
+        fare built a cube that answered CERTIFIED, and a NaN coordinate
+        leaked scipy's ``ValueError`` out of the heat-map dry run."""
+        table = with_non_finite(rides_small, attr, [7, 1500, 2999])
+        tabula = make_tabula(table, loss=loss_factory())
+        with pytest.raises(LossFunctionError, match=rf"{attr}.*non-finite"):
+            tabula.initialize(workers=workers)
 
     def test_report_counts_consistent(self, rides_tiny):
         tabula = make_tabula(rides_tiny)

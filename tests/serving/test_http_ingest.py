@@ -199,6 +199,24 @@ class TestIngestRoute:
         assert body["code"] == "TAB711"
         assert ingestor.watermarks()["submitted_seq"] == 0  # nothing was submitted
 
+    def test_non_finite_target_is_400_and_never_logged(self, served_ingest, delta):
+        """``json`` reads the literal ``NaN``; a NaN fare used to be
+        accepted into the WAL and applied under a CERTIFIED cube."""
+        base, gateway, ingestor = served_ingest
+        rows = delta.slice(0, 20).to_pydict()
+        rows["fare_amount"][4] = float("nan")
+        before = ingestor.watermarks()
+        rows_before = gateway.tabula.table.num_rows
+        status, body = post_raw(
+            base + "/ingest", json.dumps({"rows": rows, "seed": 5}).encode("utf-8")
+        )
+        assert status == 400
+        assert "'fare_amount' has 1 non-finite" in body["error"]
+        after = ingestor.watermarks()
+        assert after["submitted_seq"] == before["submitted_seq"]
+        assert after["applied_seq"] == before["applied_seq"]
+        assert gateway.tabula.table.num_rows == rows_before
+
 
 class TestIngestVisibility:
     def test_readyz_and_stats_grow_ingest_blocks(self, served_ingest, delta):
