@@ -31,7 +31,6 @@ loss of an empty sample (matching Algorithm 1's initialisation).
 from __future__ import annotations
 
 import abc
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -196,70 +195,38 @@ class LossFunction(abc.ABC):
         return None
 
     # ------------------------------------------------------------------
-    # Representation-join acceleration (Section IV)
+    # Representation join (Section IV)
     # ------------------------------------------------------------------
-    # The SamGraph join checks ``loss(cellB.raw, samA) <= θ`` for many
-    # (cell, sample) pairs. The paper notes any similarity-join
-    # accelerator may be used and that a non-exhaustive SamGraph stays
-    # correct. These hooks let a loss either answer the check exactly
-    # from cached statistics (mean, regression) or prune pairs via a
-    # cheap lower bound (the distance losses); the defaults fall back to
-    # the exact evaluation.
+    # The SamGraph join asks one question per (cell, sample) pair:
+    # ``loss(cell.raw, sample) <= θ``. The paper allows any similarity-join
+    # accelerator, and a non-exhaustive join stays correct. A loss that
+    # can bound the answer for every cell at once without raw data
+    # returns per-cell ``(lower, upper)`` arrays; the join prunes pairs
+    # whose lower bound exceeds θ, accepts pairs whose upper bound does
+    # not, and checks the rest exactly with :meth:`losses`. The defaults
+    # say "no bounds", so every pair is checked exactly.
 
-    def cell_aux(self, raw: np.ndarray) -> tuple:
-        """Cheap per-cell auxiliaries cached for the representation join."""
-        return ()
-
-    def representation_shortcut(
-        self, stats: tuple, aux: tuple, sample: np.ndarray
-    ) -> float:
-        """Exact ``loss(cell, sample)`` from statistics, or ``None``."""
-        return None
-
-    def representation_lower_bound(
-        self, stats: tuple, aux: tuple, sample: np.ndarray
-    ) -> float:
-        """A lower bound on ``loss(cell, sample)``; ``-inf`` = no bound."""
-        return -math.inf
-
-    # Batch (vectorized) variants: the SamGraph join asks the same
-    # question for every cell against each sample, so losses that can
-    # answer column-wise avoid a Python-level pair loop entirely.
-
-    def representation_prepare(self, stats_list, aux_list):
-        """Pre-digest all cells' stats/aux for the batch hooks (or None)."""
-        return None
-
-    def representation_shortcut_batch(
-        self, prepared, sample: np.ndarray
-    ):
-        """Exact per-cell losses vs ``sample`` as an array, or ``None``."""
-        return None
-
-    def representation_lower_bound_batch(
-        self, prepared, sample: np.ndarray
-    ):
-        """Per-cell lower bounds vs ``sample`` as an array, or ``None``."""
-        return None
-
-    def representation_accept_prepare(self, cell_samples, achieved_losses):
-        """Pre-digest cells' own local samples for upper-bound accepts.
+    def representation_prepare(self, stats, raws, samples, achieved):
+        """Pre-digest every cell for :meth:`representation_bounds`.
 
         Args:
-            cell_samples: each cell's materialized local-sample values.
-            achieved_losses: each local sample's achieved loss.
+            stats: each cell's statistics against the global sample.
+            raws: each cell's raw values.
+            samples: each cell's own local-sample values.
+            achieved: each local sample's achieved loss, or ``None`` when
+                it is unknown.
 
-        Returns an object for :meth:`representation_upper_bound_batch`,
-        or ``None`` when the loss has no sound upper bound.
+        Returns an object for :meth:`representation_bounds`, or ``None``
+        when the loss has no bounds.
         """
         return None
 
-    def representation_upper_bound_batch(self, prepared, sample: np.ndarray):
-        """Per-cell *upper* bounds on ``loss(cell, sample)`` (or None).
+    def representation_bounds(self, prepared, sample: np.ndarray):
+        """Per-cell ``(lower, upper)`` bounds on ``loss(cell, sample)``.
 
-        An upper bound ≤ θ proves the representation edge without
-        touching raw data — the sound-accept counterpart of the
-        lower-bound prune.
+        A lower bound > θ prunes the pair, an upper bound ≤ θ proves the
+        edge, and ``lower == upper`` is the exact loss (exact losses
+        return one array as both). ``None`` means no bounds.
         """
         return None
 

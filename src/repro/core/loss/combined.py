@@ -127,38 +127,45 @@ class CombinedLoss(LossFunction):
         return CombinedGreedyState(self, raw)
 
     # -- representation join ------------------------------------------------
-    def cell_aux(self, raw: np.ndarray) -> tuple:
-        return tuple(
-            loss.cell_aux(self._component_values(raw, j))
-            for j, (_, loss) in enumerate(self.components)
-        )
+    def representation_prepare(self, stats, raws, samples, achieved):
+        """Every component's prepared bounds (``None`` if none has any).
 
-    def representation_shortcut(self, stats: tuple, aux: tuple, sample: np.ndarray):
-        parts = []
-        for j, (_, loss) in enumerate(self.components):
-            quick = loss.representation_shortcut(
-                stats[j], aux[j], self._component_values(sample, j)
-            )
-            if quick is None:
-                return None
-            parts.append(quick)
-        return self._combine(parts)
-
-    def representation_lower_bound(self, stats: tuple, aux: tuple, sample: np.ndarray) -> float:
-        bounds = [
-            loss.representation_lower_bound(
-                stats[j], aux[j], self._component_values(sample, j)
+        A component's own achieved loss is unknown (the local samples
+        were drawn for the combined loss), so components prepare with
+        ``achieved=None``.
+        """
+        prepared = [
+            loss.representation_prepare(
+                [s[j] for s in stats],
+                [self._component_values(raw, j) for raw in raws],
+                [self._component_values(sample, j) for sample in samples],
+                None,
             )
             for j, (_, loss) in enumerate(self.components)
         ]
+        if all(p is None for p in prepared):
+            return None
+        return (len(raws), prepared)
+
+    def representation_bounds(self, prepared, sample: np.ndarray):
+        n_cells, parts = prepared
+        lowers, uppers = [], []
+        for j, (_, loss) in enumerate(self.components):
+            bounds = None
+            if parts[j] is not None:
+                bounds = loss.representation_bounds(
+                    parts[j], self._component_values(sample, j)
+                )
+            if bounds is None:
+                bounds = (np.full(n_cells, -np.inf), np.full(n_cells, np.inf))
+            lowers.append(bounds[0])
+            uppers.append(bounds[1])
+        upper = self._combine_arrays(uppers)
         if self.mode == "max":
-            return max(
-                b / scale for (scale, _), b in zip(self.components, bounds)
-            )
-        # For a sum, each true component loss is >= its bound (others >= 0).
-        return max(
-            scale * b for (scale, _), b in zip(self.components, bounds)
-        )
+            return self._combine_arrays(lowers), upper
+        # Component losses are >= 0, so each contributes at least
+        # w_i * max(l_i, 0) to the sum.
+        return self._combine_arrays([np.maximum(b, 0.0) for b in lowers]), upper
 
 
 class CombinedGreedyState(GreedyLossState):

@@ -22,9 +22,10 @@ Aggregate vocabulary of the dialect:
 Scalar functions: ``ABS``, ``SQRT``, ``LOG``, ``EXP``, ``POW``.
 
 Performance note: compiled losses take the *generic* paths everywhere —
-the Python merge loop in the dry run and the scalar (pair-at-a-time)
-representation join. They are correct for any algebraic body but
-slower than the hand-vectorized built-ins; prefer the built-in
+the Python merge loop in the dry run, and a representation join with no
+bounds, so every pair is an exact check (batched per source sample, but
+each one a direct evaluation). They are correct for any algebraic body
+but slower than the hand-vectorized built-ins; prefer the built-in
 equivalents (``mean_loss``, ``heatmap_loss``, ``regression_loss``,
 ``histogram_loss``, ``stddev_loss``) when one matches.
 """

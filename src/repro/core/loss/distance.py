@@ -115,83 +115,61 @@ class AvgMinDistanceLoss(LossFunction):
         return np.sort(first)
 
     # -- representation join ------------------------------------------------
-    def cell_aux(self, raw: np.ndarray) -> tuple:
-        """(centroid, mean distance of cell points to centroid)."""
-        pts = as_points(raw)
-        if len(pts) == 0:
-            return (np.zeros(max(self.target_arity, 1)), 0.0)
-        centroid = pts.mean(axis=0)
-        diff = pts - centroid
-        if self.metric == "euclidean":
-            spread = float(np.mean(np.sqrt(np.sum(diff * diff, axis=1))))
-        else:
-            spread = float(np.mean(np.sum(np.abs(diff), axis=1)))
-        return (centroid, spread)
+    def representation_prepare(self, stats, raws, samples, achieved):
+        """Each cell's centroid and spread; with ``achieved``, a point bank.
 
-    def representation_lower_bound(
-        self, stats: tuple, aux: tuple, sample: np.ndarray
-    ) -> float:
-        """Triangle-inequality bound: amd(B, S) ≥ d(centroid_B, S) − spread_B.
-
-        For every x in B and s in S, d(x, s) ≥ d(c, s) − d(x, c); taking
-        the min over s and averaging over x gives the bound. Pairs whose
-        bound already exceeds θ are skipped without touching raw data.
+        The spread is the mean distance of the cell's points to its
+        centroid. The bank concatenates every cell's own local sample,
+        tagged with its cell, for the upper bound; it needs each local
+        sample's achieved loss, so it is built only when ``achieved`` is
+        known.
         """
-        if len(sample) == 0:
-            return math.inf
-        centroid, spread = aux
-        dist_to_sample = float(
-            np.min(pairwise_min_distance(centroid.reshape(1, -1), sample, self.metric))
-        )
-        return max(0.0, dist_to_sample - spread)
+        centroids = np.zeros((len(raws), max(self.target_arity, 1)))
+        spreads = np.zeros(len(raws))
+        for j, raw in enumerate(raws):
+            pts = as_points(raw)
+            if len(pts) == 0:
+                continue
+            centroids[j] = pts.mean(axis=0)
+            diff = pts - centroids[j]
+            if self.metric == "euclidean":
+                spreads[j] = float(np.mean(np.sqrt(np.sum(diff * diff, axis=1))))
+            else:
+                spreads[j] = float(np.mean(np.sum(np.abs(diff), axis=1)))
+        bank = None
+        if achieved is not None and samples:
+            points = [as_points(sample) for sample in samples]
+            sizes = [len(p) for p in points]
+            segments = np.repeat(np.arange(len(points)), sizes)
+            # A cell with an empty own sample gets an infinite upper bound.
+            base = np.where(np.asarray(sizes) > 0, np.asarray(achieved, dtype=float), math.inf)
+            bank = (np.vstack(points), segments, base)
+        return (centroids, spreads, bank)
 
-    def representation_prepare(self, stats_list, aux_list):
-        centroids = np.vstack([np.atleast_1d(a[0]) for a in aux_list])
-        spreads = np.asarray([a[1] for a in aux_list])
-        return (centroids, spreads)
+    def representation_bounds(self, prepared, sample: np.ndarray):
+        """Triangle-inequality bounds on ``amd(B, S)`` for every cell ``B``.
 
-    def representation_lower_bound_batch(self, prepared, sample: np.ndarray):
-        centroids, spreads = prepared
+        Lower: ``amd(B, S) >= d(centroid_B, S) - spread_B``. For every x
+        in B and s in S, ``d(x, s) >= d(c, s) - d(x, c)``; taking the min
+        over s and averaging over x gives the bound.
+
+        Upper (with a bank): for x in B with nearest own-sample point
+        p_x, ``min_s d(x, s) <= d(x, p_x) + min_s d(p_x, s)``; averaging
+        gives ``amd(B, S) <= amd(B, samB) + max_p min_s d(p, S)``. A cell
+        with an empty own sample, or no bank at all, gets ``inf``.
+        """
+        centroids, spreads, bank = prepared
+        n_cells = len(spreads)
         if len(sample) == 0:
-            return np.full(len(spreads), math.inf)
+            return np.full(n_cells, math.inf), np.full(n_cells, math.inf)
         dmin = pairwise_min_distance(centroids, sample, self.metric)
-        return np.maximum(0.0, dmin - spreads)
-
-    def representation_accept_prepare(self, cell_samples, achieved_losses):
-        """Concatenate every cell's local sample into one point bank.
-
-        Soundness of the resulting accept: for x in cell B with nearest
-        own-sample point p_x, ``min_s d(x,s) <= d(x,p_x) + min_s d(p_x,s)``;
-        averaging gives ``amd(B,S) <= amd(B,samB) + max_p min_s d(p,S)``.
-        """
-        points = []
-        segments = []
-        for j, sample in enumerate(cell_samples):
-            pts = as_points(sample)
-            points.append(pts)
-            segments.append(np.full(len(pts), j, dtype=np.int64))
-        if not points:
-            return None
-        return (
-            np.vstack(points),
-            np.concatenate(segments),
-            np.asarray(achieved_losses, dtype=float),
-            len(cell_samples),
-        )
-
-    def representation_upper_bound_batch(self, prepared, sample: np.ndarray):
-        if prepared is None:
-            return None
-        bank, segments, achieved, n_cells = prepared
-        if len(sample) == 0:
-            return np.full(n_cells, math.inf)
-        dmin = pairwise_min_distance(bank, sample, self.metric)
+        lower = np.maximum(0.0, dmin - spreads)
+        if bank is None:
+            return lower, np.full(n_cells, math.inf)
+        points, segments, base = bank
         worst = np.zeros(n_cells)
-        np.maximum.at(worst, segments, dmin)
-        # Cells with an empty own-sample get an infinite (useless) bound.
-        has_points = np.zeros(n_cells, dtype=bool)
-        has_points[segments] = True
-        return np.where(has_points, achieved + worst, math.inf)
+        np.maximum.at(worst, segments, pairwise_min_distance(points, sample, self.metric))
+        return lower, base + worst
 
 
 class AvgMinDistanceGreedyState(GreedyLossState):

@@ -65,21 +65,19 @@ class MeanLoss(LossFunction):
         return MeanGreedyState(np.asarray(raw, dtype=float))
 
     # -- representation join ------------------------------------------------
-    def representation_shortcut(self, stats: tuple, aux: tuple, sample: np.ndarray) -> float:
+    def representation_prepare(self, stats, raws, samples, achieved):
         """The mean loss is exactly computable from (count, sum) stats."""
-        return self.loss_from_stats(stats, self.prepare_sample(sample))
-
-    def representation_prepare(self, stats_list, aux_list):
-        counts = np.asarray([s[0] for s in stats_list])
-        sums = np.asarray([s[1] for s in stats_list])
+        counts = np.asarray([s[0] for s in stats])
+        sums = np.asarray([s[1] for s in stats])
         with np.errstate(invalid="ignore", divide="ignore"):
             means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
         return (counts, means)
 
-    def representation_shortcut_batch(self, prepared, sample: np.ndarray):
+    def representation_bounds(self, prepared, sample: np.ndarray):
         counts, means = prepared
         if len(sample) == 0:
-            return np.full(len(counts), math.inf)
+            losses = np.full(len(counts), math.inf)
+            return losses, losses
         sam_mean = float(np.mean(sample))
         with np.errstate(invalid="ignore", divide="ignore"):
             losses = np.abs((means - sam_mean) / means)
@@ -89,7 +87,7 @@ class MeanLoss(LossFunction):
             np.where(sam_mean == 0.0, 0.0, math.inf),
             losses,
         )
-        return losses
+        return losses, losses
 
 
 class MeanGreedyState(GreedyLossState):

@@ -95,22 +95,20 @@ class RegressionLoss(LossFunction):
         return RegressionGreedyState(np.asarray(raw, dtype=float))
 
     # -- representation join ------------------------------------------------
-    def representation_shortcut(self, stats: tuple, aux: tuple, sample: np.ndarray) -> float:
+    def representation_prepare(self, stats, raws, samples, achieved):
         """The angle loss is exactly computable from the five sums."""
-        return self.loss_from_stats(stats, self.prepare_sample(sample))
-
-    def representation_prepare(self, stats_list, aux_list):
-        counts = np.asarray([s[0] for s in stats_list])
-        angles = np.asarray([regression_angle(*s) for s in stats_list])
+        counts = np.asarray([s[0] for s in stats])
+        angles = np.asarray([regression_angle(*s) for s in stats])
         return (counts, angles)
 
-    def representation_shortcut_batch(self, prepared, sample: np.ndarray):
+    def representation_bounds(self, prepared, sample: np.ndarray):
         counts, angles = prepared
         if len(sample) == 0:
-            return np.full(len(counts), math.inf)
+            losses = np.full(len(counts), math.inf)
+            return losses, losses
         sam_angle = regression_angle(*_sufficient(sample))
-        losses = np.abs(angles - sam_angle)
-        return np.where(counts == 0, 0.0, losses)
+        losses = np.where(counts == 0, 0.0, np.abs(angles - sam_angle))
+        return losses, losses
 
 
 class RegressionGreedyState(GreedyLossState):

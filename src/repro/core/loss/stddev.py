@@ -88,20 +88,19 @@ class StdDevLoss(LossFunction):
         return StdDevGreedyState(np.asarray(raw, dtype=float))
 
     # -- representation join ------------------------------------------------
-    def representation_shortcut(self, stats: tuple, aux: tuple, sample: np.ndarray) -> float:
-        return self.loss_from_stats(stats, self.prepare_sample(sample))
-
-    def representation_prepare(self, stats_list, aux_list):
-        counts = np.asarray([s[0] for s in stats_list])
+    def representation_prepare(self, stats, raws, samples, achieved):
+        """The std-dev loss is exactly computable from the three sums."""
+        counts = np.asarray([s[0] for s in stats])
         stds = np.asarray(
-            [_std_from_sums(*s) if s[0] > 0 else 0.0 for s in stats_list]
+            [_std_from_sums(*s) if s[0] > 0 else 0.0 for s in stats]
         )
         return (counts, stds)
 
-    def representation_shortcut_batch(self, prepared, sample: np.ndarray):
+    def representation_bounds(self, prepared, sample: np.ndarray):
         counts, stds = prepared
         if len(sample) == 0:
-            return np.full(len(counts), math.inf)
+            losses = np.full(len(counts), math.inf)
+            return losses, losses
         sam_std = float(np.std(sample))
         with np.errstate(invalid="ignore", divide="ignore"):
             losses = np.abs((stds - sam_std) / stds)
@@ -111,7 +110,7 @@ class StdDevLoss(LossFunction):
             np.where(sam_std == 0.0, 0.0, math.inf),
             losses,
         )
-        return losses
+        return losses, losses
 
 
 class StdDevGreedyState(GreedyLossState):

@@ -8,12 +8,14 @@ paper notes that any similarity-join accelerator applies and that a
 non-exhaustive SamGraph never violates the bounded-error guarantee —
 it only persists more samples than strictly necessary.
 
-This implementation accelerates the join with per-loss hooks:
-statistics shortcuts answer the mean/regression condition exactly
-without raw data, and a triangle-inequality lower bound prunes most
-distance-loss pairs. The exact checks left for one source sample are
-one :meth:`~repro.core.loss.base.LossFunction.losses` call, which the
-distance losses answer with a single nearest-sample query.
+This implementation accelerates the join with one per-loss question,
+:meth:`~repro.core.loss.base.LossFunction.representation_bounds`: per-cell
+``(lower, upper)`` bounds on the loss against one source sample. A lower
+bound above θ prunes the pair, an upper bound at most θ proves the edge
+(the mean, std-dev and regression losses answer exactly, so nothing is
+left), and the pairs in between — every pair, for a loss without bounds
+— are one :meth:`~repro.core.loss.base.LossFunction.losses` call, which
+the distance losses answer with a single nearest-sample query.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from repro.engine.table import Table
 
 #: Up to this many cells the join decides every pair.
 EXHAUSTIVE_MAX_CELLS = 800
-#: Above it, a source sample's *exact* checks (distance losses, where
-#: only a lower bound is available) stop after this many evaluations;
-#: candidates are tried in ascending-bound order, so the most promising
-#: representation edges are found first.
+#: Above it, the exact checks a source sample's bounds leave undecided
+#: stop after this many evaluations; candidates are tried in
+#: ascending-lower-bound order, so the most promising representation
+#: edges are found first.
 EXACT_BUDGET = 64
 #: ...or after this many consecutive failures — bound-ordered candidates
 #: rarely succeed after a streak of misses.
@@ -48,7 +50,8 @@ class SamGraph:
     #: out_edges[v] = cells representable by sample v (excluding v itself),
     #: an ``int64`` array in discovery order.
     out_edges: List[np.ndarray]
-    #: join diagnostics: pairs checked exactly vs pruned/shortcut.
+    #: join diagnostics: pairs checked exactly, pairs whose lower bound
+    #: exceeds θ, and pairs whose upper bound proves the edge.
     exact_checks: int
     pruned_pairs: int
     shortcut_pairs: int
@@ -75,8 +78,8 @@ def build_samgraph(
     """Run the representation join over all iceberg cells.
 
     Up to :data:`EXHAUSTIVE_MAX_CELLS` cells every pair is decided.
-    Above that, a source sample's exact checks stop at
-    :data:`EXACT_BUDGET` evaluations or :data:`MISS_STREAK_CUTOFF`
+    Above that, for a loss with bounds, a source sample's exact checks
+    stop at :data:`EXACT_BUDGET` evaluations or :data:`MISS_STREAK_CUTOFF`
     misses in a row, so the graph may miss edges — never admit a wrong
     one.
 
@@ -85,10 +88,10 @@ def build_samgraph(
         cells: the real run's materialized iceberg cells.
         loss: the bound loss function.
         threshold: θ.
-        use_accelerators: disable the statistics shortcut and the
-            lower-bound prune to force the brute-force join — the
-            exhaustive reference the accelerated graph is tested against
-            (and the similarity-join ablation benchmark times).
+        use_accelerators: ignore the loss's bounds and check every pair
+            exactly — the brute-force join the accelerated graph is
+            tested against (and the similarity-join ablation benchmark
+            times).
 
     Returns:
         The directed :class:`SamGraph` (self-edges omitted; every sample
@@ -107,106 +110,53 @@ def build_samgraph(
     values = loss.extract(table)
     sample_values = [values[c.sample_indices] for c in cells]
     raw_values = [values[c.raw_indices] for c in cells]
-    aux = [loss.cell_aux(raw_values[u]) for u in range(n)]
-    stats_list = [c.stats for c in cells]
     prepared = (
-        loss.representation_prepare(stats_list, aux) if use_accelerators else None
-    )
-    accept_prepared = (
-        loss.representation_accept_prepare(
-            sample_values, [c.sampling.achieved_loss for c in cells]
+        loss.representation_prepare(
+            [c.stats for c in cells],
+            raw_values,
+            sample_values,
+            [c.sampling.achieved_loss for c in cells],
         )
         if use_accelerators
         else None
     )
 
+    vertices = np.arange(n, dtype=np.int64)
     out_edges: List[np.ndarray] = []
     exact = pruned = shortcut = 0
     for v in range(n):
         sam_v = sample_values[v]
-        edges: List[int] = []
-        # Vectorized fast paths first: an exact batch answer settles the
-        # whole column; a batch lower bound leaves only the survivors
-        # for the exact check, tried in ascending-bound order under the
-        # exact-check budget.
-        candidates = None
-        bounded_order = False
-        if use_accelerators and prepared is not None:
-            quick = loss.representation_shortcut_batch(prepared, sam_v)
-            if quick is not None:
-                shortcut += n - 1
-                hits = np.nonzero(np.asarray(quick) <= threshold)[0]
-                out_edges.append(hits[hits != v].astype(np.int64, copy=False))
-                continue
-            bounds = loss.representation_lower_bound_batch(prepared, sam_v)
-            if bounds is not None:
-                bounds = np.asarray(bounds)
-                survivors = np.nonzero(bounds <= threshold)[0]
-                pruned += n - 1 - max(len(survivors) - 1, 0)
-                # Sound accepts first: an upper bound <= θ proves the edge
-                # without an exact check.
-                if accept_prepared is not None:
-                    uppers = loss.representation_upper_bound_batch(
-                        accept_prepared, sam_v
-                    )
-                else:
-                    uppers = None
-                if uppers is not None:
-                    uppers = np.asarray(uppers)
-                    accepted = [
-                        int(u) for u in survivors
-                        if u != v and uppers[u] <= threshold
-                    ]
-                    edges.extend(accepted)
-                    shortcut += len(accepted)
-                    undecided = survivors[
-                        (uppers[survivors] > threshold) & (survivors != v)
-                    ]
-                else:
-                    undecided = survivors
-                undecided = undecided[np.argsort(bounds[undecided], kind="stable")]
-                candidates = [int(u) for u in undecided if u != v]
-                bounded_order = True
-        if candidates is None:
-            candidates = [u for u in range(n) if u != v]
-        scalar_hooks = use_accelerators and prepared is None
-        exact_losses = None
-        if not scalar_hooks:
-            # Without scalar hooks every candidate the walk visits is
-            # checked exactly, in order, so the checks are one batch —
-            # cut at the budget when the walk can never pass it.
-            batch = candidates[:EXACT_BUDGET] if bounded_order and budgeted else candidates
-            exact_losses = loss.losses([raw_values[u] for u in batch], sam_v)
-        exact_done = 0
-        miss_streak = 0
-        for u in candidates:
-            if scalar_hooks:
-                quick = loss.representation_shortcut(cells[u].stats, aux[u], sam_v)
-                if quick is not None:
-                    shortcut += 1
-                    if quick <= threshold:
-                        edges.append(u)
-                    continue
-                bound = loss.representation_lower_bound(cells[u].stats, aux[u], sam_v)
-                if bound > threshold:
-                    pruned += 1
-                    continue
-            if bounded_order and budgeted and (
-                exact_done >= EXACT_BUDGET or miss_streak >= MISS_STREAK_CUTOFF
-            ):
-                break
-            if exact_losses is None:
-                value = loss.loss(raw_values[u], sam_v)
+        bounds = None if prepared is None else loss.representation_bounds(prepared, sam_v)
+        if bounds is None:
+            # No bounds: every other cell is checked exactly, in vertex
+            # order, with no budget cut.
+            accepted = vertices[:0]
+            undecided = vertices[vertices != v]
+        else:
+            lower, upper = bounds
+            survivors = np.nonzero(lower <= threshold)[0]
+            survivors = survivors[survivors != v]
+            pruned += n - 1 - len(survivors)
+            if upper is lower:
+                accepted, undecided = survivors, survivors[:0]
             else:
-                value = exact_losses[exact_done]
-            exact += 1
-            exact_done += 1
-            if value <= threshold:
-                edges.append(u)
-                miss_streak = 0
-            else:
-                miss_streak += 1
-        out_edges.append(np.asarray(edges, dtype=np.int64))
+                proved = upper[survivors] <= threshold
+                accepted, undecided = survivors[proved], survivors[~proved]
+            shortcut += len(accepted)
+        if len(undecided) == 0:
+            out_edges.append(accepted)
+            continue
+        walk_cut = budgeted and bounds is not None
+        if bounds is not None:
+            # The most promising candidates first, so a budgeted walk
+            # spends its exact checks where edges are likeliest.
+            undecided = undecided[np.argsort(lower[undecided], kind="stable")]
+            if walk_cut:
+                undecided = undecided[:EXACT_BUDGET]
+        hits = loss.losses([raw_values[u] for u in undecided], sam_v) <= threshold
+        walked = _walk_length(hits) if walk_cut else len(hits)
+        exact += walked
+        out_edges.append(np.concatenate([accepted, undecided[:walked][hits[:walked]]]))
     return SamGraph(
         num_vertices=n,
         out_edges=out_edges,
@@ -215,3 +165,17 @@ def build_samgraph(
         shortcut_pairs=shortcut,
         seconds=time.perf_counter() - started,
     )
+
+
+def _walk_length(hits: np.ndarray) -> int:
+    """How many bound-ordered exact checks a budgeted walk consumes.
+
+    The walk stops before the next check once :data:`MISS_STREAK_CUTOFF`
+    checks in a row have failed.
+    """
+    streak = 0
+    for i, hit in enumerate(hits):
+        if streak >= MISS_STREAK_CUTOFF:
+            return i
+        streak = 0 if hit else streak + 1
+    return len(hits)

@@ -228,19 +228,33 @@ class TestRepresentationBound:
     def test_lower_bound_is_sound(self, raw, sample):
         """The triangle-inequality bound never exceeds the true loss."""
         loss = HeatmapLoss("x", "y")
-        aux = loss.cell_aux(raw)
-        bound = loss.representation_lower_bound((), aux, sample)
-        true_loss = loss.loss(raw, sample)
-        assert bound <= true_loss + 1e-9
+        prepared = loss.representation_prepare([()], [raw], [raw], None)
+        lower, upper = loss.representation_bounds(prepared, sample)
+        assert lower[0] <= loss.loss(raw, sample) + 1e-9
+        assert upper[0] == math.inf  # no achieved losses, no bank
+
+    @given(raw=points_2d(min_size=2), sample=points_2d(), own=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_upper_bound_is_sound(self, raw, sample, own):
+        """The own-sample bound never falls below the true loss."""
+        loss = HeatmapLoss("x", "y")
+        own_sample = raw[:own]
+        achieved = loss.loss(raw, own_sample)
+        prepared = loss.representation_prepare([()], [raw], [own_sample], [achieved])
+        _, upper = loss.representation_bounds(prepared, sample)
+        assert upper[0] >= loss.loss(raw, sample) - 1e-9
 
     def test_bound_infinite_for_empty_sample(self):
         loss = HeatmapLoss("x", "y")
-        aux = loss.cell_aux(np.asarray([[0.5, 0.5]]))
-        assert loss.representation_lower_bound((), aux, np.empty((0, 2))) == math.inf
+        pts = np.asarray([[0.5, 0.5]])
+        prepared = loss.representation_prepare([()], [pts], [pts], [0.0])
+        lower, upper = loss.representation_bounds(prepared, np.empty((0, 2)))
+        assert lower.tolist() == upper.tolist() == [math.inf]
 
     def test_manhattan_aux_spread(self):
         loss = AvgMinDistanceLoss(("x", "y"), metric="manhattan")
         pts = np.asarray([[0.0, 0.0], [2.0, 2.0]])
-        centroid, spread = loss.cell_aux(pts)
-        np.testing.assert_allclose(centroid, [1.0, 1.0])
-        assert spread == pytest.approx(2.0)  # manhattan distance to centroid
+        prepared = loss.representation_prepare([()], [pts], [pts], None)
+        # centroid (1, 1), manhattan spread 2; the sample is 4 away from it
+        lower, _ = loss.representation_bounds(prepared, np.asarray([[5.0, 1.0]]))
+        assert lower[0] == pytest.approx(4.0 - 2.0)

@@ -115,5 +115,7 @@ class TestRepresentationShortcut:
         cell = np.asarray([10.0, 20.0, 30.0])
         sample = np.asarray([19.0, 21.0])
         stats = loss.stats(cell, sample)
-        shortcut = loss.representation_shortcut(stats, (), sample)
-        assert shortcut == pytest.approx(loss.loss(cell, sample))
+        prepared = loss.representation_prepare([stats], [cell], [sample], None)
+        lower, upper = loss.representation_bounds(prepared, sample)
+        assert upper is lower
+        assert lower[0] == pytest.approx(loss.loss(cell, sample))

@@ -143,5 +143,7 @@ class TestRepresentationShortcut:
         cell = rng.random((20, 2))
         sample = rng.random((5, 2))
         stats = loss.stats(cell, sample)
-        shortcut = loss.representation_shortcut(stats, (), sample)
-        assert shortcut == pytest.approx(loss.loss(cell, sample), abs=1e-9)
+        prepared = loss.representation_prepare([stats], [cell], [sample], None)
+        lower, upper = loss.representation_bounds(prepared, sample)
+        assert upper is lower
+        assert lower[0] == pytest.approx(loss.loss(cell, sample), abs=1e-9)

@@ -96,6 +96,7 @@ class TestRepresentationShortcut:
         cell = rng.random(50) * 10
         sample = cell[:7]
         stats = loss.stats(cell, sample)
-        assert loss.representation_shortcut(stats, (), sample) == pytest.approx(
-            loss.loss(cell, sample)
-        )
+        prepared = loss.representation_prepare([stats], [cell], [sample], None)
+        lower, upper = loss.representation_bounds(prepared, sample)
+        assert upper is lower
+        assert lower[0] == pytest.approx(loss.loss(cell, sample))

@@ -12,9 +12,13 @@ re-record them.
 
 import pytest
 
-from repro.core.loss import HeatmapLoss, MeanLoss
+from repro.core.loss import HeatmapLoss, HistogramLoss, MeanLoss
+from repro.core.loss.combined import CombinedLoss
+from repro.core.loss.compiler import compile_loss
+from repro.core.loss.stddev import StdDevLoss
 from repro.core.tabula import Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
+from repro.engine.sql.parser import parse_statement
 
 ATTRS = ("passenger_count", "payment_type", "rate_code")
 #: The benchmark's cubed attributes.
@@ -24,6 +28,16 @@ PERF_ATTRS = ("payment_type", "rate_code", "passenger_count", "pickup_weekday", 
 @pytest.fixture(scope="module")
 def taxi_50k():
     return generate_nyctaxi(50_000, seed=0)
+
+
+def compiled_mean_loss():
+    """The mean loss written in the DSL: a loss with no join bounds."""
+    stmt = parse_statement(
+        "CREATE AGGREGATE mean_dsl(Raw, Sam) RETURN decimal_value AS BEGIN "
+        "ABS((AVG(Raw) - AVG(Sam)) / AVG(Raw)) END"
+    )
+    return compile_loss(stmt).bind(("fare_amount",))
+
 
 CASES = {
     "mean-small": (
@@ -68,6 +82,39 @@ CASES = {
             loss=HeatmapLoss("pickup_x", "pickup_y"),
         ),
         "def404273b8ee330846bf075bded2fd89d4403e68cd0a3fb99522f9a89d0e746",
+    ),
+    # Losses the representation join used to decide pair by pair; the
+    # combined and compiled losses now share the batched join.
+    "combined-max-tiny": (
+        "rides_tiny",
+        dict(
+            cubed_attrs=ATTRS,
+            threshold=1.0,
+            loss=CombinedLoss(
+                [(0.05, MeanLoss("fare_amount")), (0.02, HistogramLoss("fare_amount"))]
+            ),
+            seed=3,
+        ),
+        "41c4f3c6e207feede978e04e1bead557bed2b362475491813e0bb12dfbc6e4e1",
+    ),
+    "combined-sum-small": (
+        "rides_small",
+        dict(
+            cubed_attrs=ATTRS,
+            threshold=0.08,
+            loss=CombinedLoss(
+                [(1.0, MeanLoss("fare_amount")), (1.0, StdDevLoss("fare_amount"))],
+                mode="sum",
+            ),
+            seed=3,
+        ),
+        "7c1559bb1708e6b64264bc016a7d8723274c531b30833d054991566ed076e9cc",
+    ),
+    # The same cube as mean-small, so the same literal.
+    "compiled-mean-small": (
+        "rides_small",
+        dict(cubed_attrs=ATTRS, threshold=0.05, loss=compiled_mean_loss(), seed=3),
+        "08ecb322e7ccea61bbb2ba00dedbd2d94aae07919553d696243e3ccdd8eaf24d",
     ),
 }
 

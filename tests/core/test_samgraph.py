@@ -6,10 +6,13 @@ import pytest
 from repro.core.dryrun import dry_run
 from repro.core.global_sample import draw_global_sample
 from repro.core.loss.base import LossFunction
+from repro.core.loss.combined import CombinedLoss
 from repro.core.loss.distance import AvgMinDistanceLoss
 from repro.core.loss.heatmap import HeatmapLoss
 from repro.core.loss.histogram import HistogramLoss
 from repro.core.loss.mean import MeanLoss
+from repro.core.loss.regression import RegressionLoss
+from repro.core.loss.stddev import StdDevLoss
 from repro.core.realrun import real_run
 from repro.core import samgraph
 from repro.core.samgraph import build_samgraph
@@ -19,11 +22,60 @@ ATTRS = ("passenger_count", "payment_type")
 BUDGETS = {"budget-cut": (3, 8), "miss-streak": (5, 2)}
 
 
-def build_pipeline(table, loss, theta, seed=0):
+def build_pipeline(table, loss, theta, seed=0, attrs=ATTRS):
     gs = draw_global_sample(table, np.random.default_rng(seed))
-    dry = dry_run(table, ATTRS, loss, theta, gs)
+    dry = dry_run(table, attrs, loss, theta, gs)
     real = real_run(table, dry, loss, seed=seed + 1)
     return dry, real
+
+
+#: case -> (loss factory, θ, whether its bounds are exact) for the
+#: join's bound tests, built over one more attribute than ATTRS so most
+#: cases have dozens of iceberg cells.
+JOIN_ATTRS = ATTRS + ("rate_code",)
+JOIN_LOSSES = {
+    "mean": (lambda: MeanLoss("fare_amount"), 0.05, True),
+    "stddev": (lambda: StdDevLoss("fare_amount"), 0.08, True),
+    "regression": (lambda: RegressionLoss("fare_amount", "tip_amount"), 0.05, True),
+    "histogram": (lambda: HistogramLoss("fare_amount"), 0.02, False),
+    "heatmap": (lambda: HeatmapLoss("pickup_x", "pickup_y"), 0.003, False),
+    "manhattan": (
+        lambda: AvgMinDistanceLoss(("pickup_x", "pickup_y"), metric="manhattan"),
+        0.004,
+        False,
+    ),
+    "combined-max": (
+        lambda: CombinedLoss(
+            [(0.05, MeanLoss("fare_amount")), (0.04, HeatmapLoss("pickup_x", "pickup_y"))]
+        ),
+        1.0,
+        False,
+    ),
+    "combined-sum": (
+        lambda: CombinedLoss(
+            [(1.0, MeanLoss("fare_amount")), (1.0, StdDevLoss("fare_amount"))],
+            mode="sum",
+        ),
+        0.08,
+        True,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def join_pipeline(rides_small):
+    """case -> (loss, θ, real run) over rides_small, each built once."""
+    built = {}
+
+    def get(case):
+        if case not in built:
+            factory, theta, _ = JOIN_LOSSES[case]
+            loss = factory()
+            _, real = build_pipeline(rides_small, loss, theta, attrs=JOIN_ATTRS)
+            built[case] = (loss, theta, real)
+        return built[case]
+
+    return get
 
 
 class TestEdgeSemantics:
@@ -104,37 +156,7 @@ class TestDiagnostics:
 
 
 class TestBatchHooks:
-    """The vectorized join hooks must agree with the scalar ones."""
-
-    def test_mean_shortcut_batch_matches_scalar(self, rides_small):
-        loss = MeanLoss("fare_amount")
-        dry, real = build_pipeline(rides_small, loss, 0.05)
-        cells = real.cells[:40]
-        values = loss.extract(rides_small)
-        stats_list = [c.stats for c in cells]
-        aux = [loss.cell_aux(values[c.raw_indices]) for c in cells]
-        prepared = loss.representation_prepare(stats_list, aux)
-        sam = values[cells[0].sample_indices]
-        batch = loss.representation_shortcut_batch(prepared, sam)
-        assert batch is not None
-        for u in range(len(cells)):
-            scalar = loss.representation_shortcut(stats_list[u], aux[u], sam)
-            assert batch[u] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
-
-    def test_distance_bound_batch_matches_scalar(self, rides_small):
-        loss = HistogramLoss("fare_amount")
-        dry, real = build_pipeline(rides_small, loss, 0.02)
-        cells = real.cells[:40]
-        values = loss.extract(rides_small)
-        stats_list = [c.stats for c in cells]
-        aux = [loss.cell_aux(values[c.raw_indices]) for c in cells]
-        prepared = loss.representation_prepare(stats_list, aux)
-        sam = values[cells[0].sample_indices]
-        batch = loss.representation_lower_bound_batch(prepared, sam)
-        assert batch is not None
-        for u in range(len(cells)):
-            scalar = loss.representation_lower_bound(stats_list[u], aux[u], sam)
-            assert batch[u] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
+    """The batched join must decide pairs exactly as brute force does."""
 
     @pytest.mark.parametrize(
         "variant", ["exhaustive", "budget-cut", "miss-streak", "bruteforce"]
@@ -180,10 +202,44 @@ class TestBatchHooks:
         for mine, theirs in zip(batched.out_edges, looped.out_edges):
             assert np.array_equal(mine, theirs)
 
-    def test_accelerated_graph_equals_bruteforce_for_mean(self, rides_small):
-        loss = MeanLoss("fare_amount")
-        dry, real = build_pipeline(rides_small, loss, 0.05)
+    @pytest.mark.parametrize("case", sorted(JOIN_LOSSES))
+    def test_accelerated_graph_equals_bruteforce(self, rides_small, join_pipeline, case):
+        """Below EXHAUSTIVE_MAX_CELLS the bounds only decide pairs sooner:
+        the edge set is the brute-force join's."""
+        loss, theta, real = join_pipeline(case)
         cells = real.cells[:60]
-        fast = build_samgraph(rides_small, cells, loss, 0.05)
-        brute = build_samgraph(rides_small, cells, loss, 0.05, use_accelerators=False)
+        assert len(cells) >= 2
+        fast = build_samgraph(rides_small, cells, loss, theta)
+        brute = build_samgraph(rides_small, cells, loss, theta, use_accelerators=False)
         assert [sorted(e) for e in fast.out_edges] == [sorted(e) for e in brute.out_edges]
+
+
+class TestBounds:
+    @pytest.mark.parametrize("case", sorted(JOIN_LOSSES))
+    def test_bounds_bracket_exact_loss(self, rides_small, join_pipeline, case):
+        """lower <= loss <= upper for every pair; equal bounds are exact;
+        an empty sample is infinitely far from every cell."""
+        loss, _, real = join_pipeline(case)
+        cells = real.cells[:40]
+        values = loss.extract(rides_small)
+        raws = [values[c.raw_indices] for c in cells]
+        samples = [values[c.sample_indices] for c in cells]
+        prepared = loss.representation_prepare(
+            [c.stats for c in cells],
+            raws,
+            samples,
+            [c.sampling.achieved_loss for c in cells],
+        )
+        assert prepared is not None
+        for sam_v in samples:
+            lower, upper = loss.representation_bounds(prepared, sam_v)
+            if JOIN_LOSSES[case][2]:
+                assert np.array_equal(lower, upper)
+            for u, raw_u in enumerate(raws):
+                actual = loss.loss(raw_u, sam_v)
+                assert lower[u] - 1e-12 <= actual <= upper[u] + 1e-12
+                if lower[u] == upper[u]:
+                    assert actual == pytest.approx(lower[u], rel=1e-9)
+        empty = loss.representation_bounds(prepared, samples[0][:0])
+        for bound in empty:
+            assert np.all(bound == np.inf)
