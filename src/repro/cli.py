@@ -32,15 +32,11 @@ import time
 from typing import Dict, List, Optional
 
 from repro.bench.metrics import format_bytes, format_seconds
-from repro.core.loss.compiler import compile_loss
-from repro.core.loss.registry import LossRegistry
-from repro.core.persistence import load_cube, save_cube
+from repro.core.persistence import cube_info, loss_registry, open_cube, save_cube
 from repro.core.tabula import Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
 from repro.engine.io import read_csv, write_csv
 from repro.engine.sql import SQLSession
-from repro.engine.sql import ast as sql_ast
-from repro.engine.sql.parser import parse_statement
 from repro.errors import TabulaError
 
 
@@ -256,17 +252,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _registry_with_declaration(path: Optional[str]) -> LossRegistry:
-    registry = LossRegistry()
-    if path:
-        with open(path) as handle:
-            statement = parse_statement(handle.read())
-        if not isinstance(statement, sql_ast.CreateAggregate):
-            raise TabulaError(f"{path}: expected a CREATE AGGREGATE statement")
-        registry.register(compile_loss(statement), replace=True)
-    return registry
-
-
 def cmd_build(args) -> int:
     from repro.engine.schema import ColumnType
 
@@ -275,8 +260,7 @@ def cmd_build(args) -> int:
     # keeps digit-labeled values (passenger counts, zone ids) stable
     # across CSV round trips.
     table = read_csv(args.table, types={a: ColumnType.CATEGORY for a in attrs})
-    registry = _registry_with_declaration(args.loss_sql)
-    loss = registry.bind(args.loss, tuple(args.target.split(",")))
+    loss = loss_registry(args.loss_sql).bind(args.loss, tuple(args.target.split(",")))
     tabula = Tabula(
         table,
         TabulaConfig(
@@ -316,14 +300,7 @@ def _parse_where(text: str) -> Dict[str, object]:
 
 
 def cmd_query(args) -> int:
-    from repro.engine.schema import ColumnType
-
-    with open(args.cube) as handle:
-        document = json.load(handle)
-    attrs = document.get("cubed_attrs", [])
-    table = read_csv(args.table, types={a: ColumnType.CATEGORY for a in attrs})
-    registry = _registry_with_declaration(args.loss_sql)
-    tabula = load_cube(args.cube, table, registry=registry)
+    tabula = open_cube(args.cube, args.table, args.loss_sql)
     result = tabula.query(_parse_where(args.where))
     print(
         f"source={result.source} rows={result.sample.num_rows} "
@@ -335,21 +312,15 @@ def cmd_query(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.engine.schema import ColumnType
     from repro.serving import ServingConfig, ServingGateway
     from repro.serving.http import serve_http
 
     if getattr(args, "shards", 0) and args.shards > 0:
         return _serve_sharded(args)
-    with open(args.cube) as handle:
-        document = json.load(handle)
-    attrs = document.get("cubed_attrs", [])
-    table = read_csv(args.table, types={a: ColumnType.CATEGORY for a in attrs})
-    registry = _registry_with_declaration(args.loss_sql)
-    gateway = ServingGateway.from_cube_file(
-        args.cube,
-        table,
-        registry=registry,
+    gateway = ServingGateway(
+        open_cube(args.cube, args.table, args.loss_sql),
+        cube_path=args.cube,
+        registry=loss_registry(args.loss_sql),
         config=ServingConfig(
             workers=args.workers,
             queue_depth=args.queue_depth,
@@ -367,9 +338,6 @@ def cmd_serve(args) -> int:
         ingest_dir.mkdir(parents=True, exist_ok=True)
         wal_path = ingest_dir / "ingest.wal"
         journal_path = ingest_dir / "maintenance.journal"
-        # A disk-restored cube lacks the dry-run statistics the append
-        # planner needs; re-initialize before replaying the logs.
-        gateway.tabula.initialize()
         recovery = recover_ingest(gateway.tabula, wal_path, journal_path)
         ingestor = StreamIngestor(gateway.tabula, wal_path, journal_path)
         gateway.attach_ingestor(ingestor)
@@ -398,18 +366,11 @@ def cmd_serve(args) -> int:
 
 def _serve_sharded(args) -> int:
     """``repro serve --shards N``: supervised workers behind the router."""
-    from repro.core.persistence import load_cube
-    from repro.engine.schema import ColumnType
     from repro.serving.http import serve_http
     from repro.serving.placement import Placement, shard_transform
     from repro.serving.router import RouterConfig, ShardRouter
     from repro.serving.supervisor import ShardSupervisor, default_worker_factory
 
-    with open(args.cube) as handle:
-        document = json.load(handle)
-    attrs = document.get("cubed_attrs", [])
-    table = read_csv(args.table, types={a: ColumnType.CATEGORY for a in attrs})
-    registry = _registry_with_declaration(args.loss_sql)
     placement = Placement(args.shards)
 
     def worker_argv(shard: int) -> list:
@@ -439,10 +400,14 @@ def _serve_sharded(args) -> int:
         supervisor.start()
         up = supervisor.up_shards()
         fallback = shard_transform(placement, None)(
-            load_cube(args.cube, table, registry=registry)
+            open_cube(args.cube, args.table, args.loss_sql)
         )
         router = ShardRouter(
-            supervisor, placement, fallback, cube_path=args.cube, registry=registry
+            supervisor,
+            placement,
+            fallback,
+            cube_path=args.cube,
+            registry=loss_registry(args.loss_sql),
         )
         print(
             f"serving {args.cube} on http://{args.host}:{args.port} with "
@@ -460,18 +425,8 @@ def _serve_sharded(args) -> int:
 
 
 def cmd_info(args) -> int:
-    with open(args.cube) as handle:
-        document = json.load(handle)
-    samples = document["sample_table"]
-    sample_tuples = sum(payload["num_rows"] for payload in samples.values())
-    print(f"cube file:        {args.cube}")
-    print(f"cubed attributes: {', '.join(document['cubed_attrs'])}")
-    print(f"threshold θ:      {document['threshold']}")
-    print(f"loss function:    {document['loss']['name']} on {document['loss']['target_attrs']}")
-    print(f"iceberg cells:    {len(document['cube_table'])}")
-    print(f"known cells:      {len(document['known_cells'])}")
-    print(f"samples:          {len(samples)} ({sample_tuples} tuples)")
-    print(f"global sample:    {document['global_sample']['table']['num_rows']} tuples")
+    for label, value in {"cube file": args.cube, **cube_info(args.cube)}.items():
+        print(f"{label + ':':<18}{value}")
     return 0
 
 

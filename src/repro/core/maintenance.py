@@ -2,8 +2,8 @@
 
 The paper initializes the sampling cube once; real dashboards sit on
 tables that grow. This extension folds a batch of appended rows into an
-initialized :class:`~repro.core.tabula.Tabula` while *preserving the
-deterministic θ-guarantee*:
+initialized — or loaded — :class:`~repro.core.tabula.Tabula` while
+*preserving the deterministic θ-guarantee*:
 
 1. one pass over the delta computes its base-cuboid loss statistics and
    derives every affected cell's delta statistics (the same algebraic
@@ -163,17 +163,14 @@ def plan_append(tabula: Tabula, new_rows: Table, seed: int = 0) -> MaintenancePl
     needing a fresh sample — the drawn sample's row indices into the
     combined table), so applying it requires no further randomness.
 
+    A restored (persisted) instance derives its dry-run statistics on
+    this first call (:attr:`Tabula.dry_run_result`).
+
     Raises:
-        CubeNotInitializedError: before ``initialize()``.
-        TabulaError: schema mismatch, or a restored (persisted) instance
-            that lacks dry-run statistics.
+        CubeNotInitializedError: neither initialized nor restored.
+        TabulaError: schema mismatch.
     """
     store = tabula.store  # raises CubeNotInitializedError when missing
-    if tabula._dry is None:
-        raise TabulaError(
-            "incremental maintenance needs the dry-run statistics; a cube "
-            "restored from disk must be re-initialized instead"
-        )
     if new_rows.schema.names != tabula.table.schema.names:
         raise TabulaError(
             f"appended rows schema {new_rows.schema.names} does not match "
@@ -182,7 +179,7 @@ def plan_append(tabula: Tabula, new_rows: Table, seed: int = 0) -> MaintenancePl
     config = tabula.config
     loss = config.loss
     attrs = config.cubed_attrs
-    dry = tabula._dry
+    dry = tabula.dry_run_result
     rng = np.random.default_rng(seed)
 
     sample_values = loss.extract(store.global_sample.table)
@@ -269,13 +266,12 @@ def apply_plan(tabula: Tabula, plan: MaintenancePlan) -> None:
     content — what queries observe — does not).
 
     Raises:
+        CubeNotInitializedError: neither initialized nor restored.
         TabulaError: the instance's table matches neither the plan's
             pre- nor post-state (the plan belongs to a different base).
     """
     store = tabula.store
-    dry = tabula._dry
-    if dry is None:
-        raise TabulaError("cannot apply a maintenance plan without dry-run statistics")
+    dry = tabula.dry_run_result  # before the delta concat below
     with tabula.write_lock:
         fault_point(FP_APPLY_CONCAT)
         if tabula.table.num_rows == plan.base_rows:
@@ -336,7 +332,7 @@ def append_rows(
     seed: int = 0,
     journal: Optional[MaintenanceJournal] = None,
 ) -> MaintenanceReport:
-    """Fold ``new_rows`` into an initialized middleware instance.
+    """Fold ``new_rows`` into an initialized or restored middleware instance.
 
     After this returns, ``tabula.table`` is the concatenation and every
     cube cell again satisfies ``loss(raw answer, returned sample) <= θ``.
@@ -347,9 +343,8 @@ def append_rows(
     without touching the store (exactly-once application).
 
     Raises:
-        CubeNotInitializedError: before ``initialize()``.
-        TabulaError: when called on a restored (persisted) instance that
-            lacks dry-run statistics, or on a schema mismatch.
+        CubeNotInitializedError: neither initialized nor restored.
+        TabulaError: schema mismatch.
     """
     started = time.perf_counter()
     # One writer at a time: planning reads the table/store state that

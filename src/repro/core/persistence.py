@@ -2,11 +2,17 @@
 
 A middleware restart should not force re-initialization — the cube (the
 expensive artifact) serializes to a single JSON document: the cubed
-attributes, θ, the loss binding, the global sample, the cube table
-(cell → sample id), the sample table, and the known-cell set. Loading
-re-binds the loss function from a :class:`LossRegistry` (user-declared
-losses must be re-registered first, e.g. by replaying their CREATE
-AGGREGATE statement — the declaration is stored alongside when known).
+attributes, θ, the loss binding, the build parameters, the global
+sample, the cube table (cell → sample id), the sample table, and the
+known-cell set. Loading re-binds the loss function from a
+:class:`LossRegistry` (user-declared losses must be re-registered first,
+e.g. by replaying their CREATE AGGREGATE statement — the declaration is
+stored alongside when known).
+
+This module is the only reader of a cube file, through one audit
+(:func:`_audit`). A loaded cube is the saved cube: it answers, maintains
+and repairs with the build's ``seed``, ``pool_size``, ``lazy_sampling``
+and ``sample_selection``.
 
 Durability contract (format version 2):
 
@@ -43,6 +49,7 @@ from repro.core.loss.registry import LossRegistry
 from repro.core.realrun import sample_cell
 from repro.core.tabula import Tabula, TabulaConfig
 from repro.engine.column import Column
+from repro.engine.io import read_csv
 from repro.engine.schema import ColumnType
 from repro.engine.table import Table
 from repro.errors import SamplingError, TabulaError
@@ -74,6 +81,10 @@ _FATAL_SECTIONS = (
     "cube_table",
     "known_cells",
 )
+#: The build parameters a restored cube maintains and repairs with (ε and
+#: δ travel with the global sample). Checksummed like a fatal section when
+#: present; files written before it load with ``TabulaConfig``'s defaults.
+_BUILD_FIELDS = ("seed", "lazy_sampling", "sample_selection", "pool_size")
 
 
 class PersistenceError(TabulaError):
@@ -211,9 +222,12 @@ def save_cube(
         "cube_table": cube_cells,
         "sample_table": samples,
         "known_cells": [_cell_to_list(c) for c in sorted(store._known_cells, key=str)],
+        "build": {name: getattr(config, name) for name in _BUILD_FIELDS},
     }
     document["envelope"] = {
-        "checksums": {name: _section_crc(document[name]) for name in _FATAL_SECTIONS},
+        "checksums": {
+            name: _section_crc(document[name]) for name in _FATAL_SECTIONS + ("build",)
+        },
         "sample_checksums": {sid: _section_crc(payload) for sid, payload in samples.items()},
     }
     atomic_write_text(path, json.dumps(document))
@@ -253,74 +267,110 @@ def _read_document(path: Union[str, Path]) -> dict:
     return document
 
 
-def _raise_collected(
-    problems: List[Tuple[str, str, str]], path: Union[str, Path]
-) -> None:
-    """Raise one PersistenceError naming every (section, code, detail).
+# ---------------------------------------------------------------------------
+# The audit: one walk over a document's sections
+# ---------------------------------------------------------------------------
 
-    ``code``/``section`` of the raised error stay the first failure (the
-    stable single-failure API); ``failures`` carries the complete list so
-    an operator fixes a damaged file in one round trip instead of
-    replaying load-fail-fix cycles section by section.
+
+@dataclass(frozen=True)
+class SectionStatus:
+    """Validation outcome for one document section."""
+
+    section: str
+    ok: bool
+    code: str = ""
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class CubeVerifyReport:
+    """Outcome of :func:`verify_cube_file`."""
+
+    path: str
+    format_version: Optional[int]
+    sections: Tuple[SectionStatus, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(s.ok for s in self.sections)
+
+    @property
+    def failures(self) -> Tuple[SectionStatus, ...]:
+        return tuple(s for s in self.sections if not s.ok)
+
+
+def _audit(document: dict) -> List[SectionStatus]:
+    """The one walk over a cube document's sections.
+
+    A missing required section or v2 envelope is TAB504, a checksummed
+    section failing its CRC is TAB505 (fatal), a sample failing its own
+    is TAB506 (recoverable). Each CRC is computed once; every finding is
+    returned, none raised, so a damaged file is repaired in one round trip.
     """
-    first_section, first_code, _ = problems[0]
-    summary = "; ".join(
-        f"{section} [{code}]: {detail}" for section, code, detail in problems
-    )
-    raise PersistenceError(
-        f"{len(problems)} unrecoverable failure(s): {summary}",
-        code=first_code,
-        section=first_section,
-        path=path,
-        failures=[(section, code) for section, code, _ in problems],
-    )
-
-
-def _verify_sections(document: dict, path: Union[str, Path]) -> Dict[str, str]:
-    """Validate the envelope; returns {sample_id: TAB code} for samples
-    that failed their checksum. Fatal-section failures raise — after the
-    whole document has been audited, so the error names *every* corrupt
-    section, not just the first one encountered."""
-    problems: List[Tuple[str, str, str]] = []  # (section, code, detail)
-    missing = set()
-    for name in _FATAL_SECTIONS + ("sample_table",):
-        if name not in document:
-            missing.add(name)
-            problems.append(
-                (name, TAB504_MISSING_SECTION, "required section is missing")
-            )
-    if document.get("format_version") == 1:
-        if problems:
-            _raise_collected(problems, path)
-        return {}  # legacy file: nothing to verify against
+    statuses = [
+        SectionStatus(name, False, TAB504_MISSING_SECTION, "required section is missing")
+        for name in _FATAL_SECTIONS + ("sample_table",)
+        if name not in document
+    ]
     envelope = document.get("envelope")
+    if document["format_version"] == 1:
+        return statuses + [SectionStatus("envelope", True, detail="legacy v1: no checksums")]
     if not isinstance(envelope, dict) or "checksums" not in envelope:
-        problems.append(
-            ("envelope", TAB504_MISSING_SECTION, "version-2 document has no checksum envelope")
-        )
-        _raise_collected(problems, path)
-    for name in _FATAL_SECTIONS:
-        if name in missing:
-            continue
-        expected = envelope["checksums"].get(name)
-        actual = _section_crc(document[name])
-        if expected != actual:
-            problems.append(
-                (
-                    name,
-                    TAB505_SECTION_CORRUPT,
-                    f"checksum mismatch: recorded {expected}, computed {actual}",
-                )
-            )
-    if problems:
-        _raise_collected(problems, path)
-    corrupt: Dict[str, str] = {}
-    sample_checksums = envelope.get("sample_checksums", {})
-    for sid, payload in document["sample_table"].items():
-        expected = sample_checksums.get(sid)
-        if expected != _section_crc(payload):
-            corrupt[sid] = TAB506_SAMPLE_CORRUPT
-    return corrupt
+        return statuses + [
+            SectionStatus("envelope", False, TAB504_MISSING_SECTION, "no checksum envelope")
+        ]
+    checksums, sample_checksums = envelope["checksums"], envelope.get("sample_checksums", {})
+    # A stripped ``build`` section whose checksum is recorded reads as
+    # corrupt; files written before the section have neither.
+    checked = [
+        (name, document.get(name), checksums.get(name), TAB505_SECTION_CORRUPT, "fatal")
+        for name in _FATAL_SECTIONS + ("build",)
+        if name in document or (name == "build" and name in checksums)
+    ] + [
+        (f"sample_table/{sid}", payload, sample_checksums.get(sid), TAB506_SAMPLE_CORRUPT,
+         "recoverable")
+        for sid, payload in document.get("sample_table", {}).items()
+    ]
+    for section, payload, expected, code, severity in checked:
+        actual = _section_crc(payload)
+        if expected == actual:
+            statuses.append(SectionStatus(section, True, detail=f"crc32 {actual}"))
+        else:
+            detail = f"recorded crc32 {expected}, computed {actual} ({severity})"
+            statuses.append(SectionStatus(section, False, code, detail))
+    return statuses
+
+
+def _raise_collected(
+    failures: List[SectionStatus], path: Union[str, Path], hint: str = ""
+) -> None:
+    """Raise one PersistenceError naming every failed section.
+
+    ``code``/``section`` stay the first failure (the stable
+    single-failure API); ``failures`` carries them all.
+    """
+    summary = "; ".join(f"{s.section} [{s.code}]: {s.detail}" for s in failures)
+    raise PersistenceError(
+        f"{len(failures)} failure(s): {summary}{hint}",
+        code=failures[0].code,
+        section=failures[0].section,
+        path=path,
+        failures=[(s.section, s.code) for s in failures],
+    )
+
+
+def _audited(document: dict, path: Union[str, Path]) -> Dict[str, SectionStatus]:
+    """Raise on the audit's fatal failures; return the failed samples by id."""
+    failures = [status for status in _audit(document) if not status.ok]
+    fatal = [status for status in failures if status.code != TAB506_SAMPLE_CORRUPT]
+    if fatal:
+        _raise_collected(fatal, path)
+    return {status.section.rpartition("/")[2]: status for status in failures}
+
+
+# ---------------------------------------------------------------------------
+# Readers
+# ---------------------------------------------------------------------------
 
 
 def load_cube(
@@ -331,10 +381,14 @@ def load_cube(
 ) -> Tabula:
     """Restore a ready-to-query Tabula from a saved cube.
 
+    The instance is the one :func:`save_cube` wrote: it answers,
+    maintains and repairs with the build's parameters.
+
     Args:
         path: file written by :func:`save_cube`.
-        table: the raw table (needed for ``raw_answer``/``actual_loss``;
-            queries themselves run purely on the restored cube).
+        table: the raw table (needed for ``raw_answer``/``actual_loss``
+            and maintenance; queries themselves run purely on the
+            restored cube).
         registry: loss registry to re-bind the loss from; defaults to
             the built-ins.
         on_corruption: what to do when an individual sample fails its
@@ -349,7 +403,8 @@ def load_cube(
               degrading a cell when θ cannot be met).
 
             Fatal corruption (cube table, global sample, loss binding,
-            known cells) always raises, whatever this is set to.
+            known cells, build parameters) always raises, whatever this
+            is set to.
 
     Raises:
         PersistenceError: missing file, unknown format, checksum
@@ -360,8 +415,51 @@ def load_cube(
         raise ValueError(
             f"on_corruption must be 'raise', 'degrade' or 'repair', got {on_corruption!r}"
         )
-    document = _read_document(path)
-    corrupt_samples = _verify_sections(document, path)
+    return _load(_read_document(path), path, table, registry, on_corruption)
+
+
+def open_cube(
+    cube_path: Union[str, Path],
+    table_csv: Union[str, Path],
+    loss_sql: Optional[str] = None,
+) -> Tabula:
+    """Load a saved cube over its raw CSV, as the CLI and the shard worker do.
+
+    One read of the cube file; the CSV's cubed attributes are typed
+    CATEGORY (as ``repro build`` typed them), and the CREATE AGGREGATE
+    in file ``loss_sql`` is registered before the loss is bound.
+    """
+    document = _read_document(cube_path)
+    attrs = document.get("cubed_attrs", [])
+    table = read_csv(table_csv, types={a: ColumnType.CATEGORY for a in attrs})
+    return _load(document, cube_path, table, loss_registry(loss_sql), "raise")
+
+
+def loss_registry(loss_sql: Optional[str] = None) -> LossRegistry:
+    """The built-in losses, plus the CREATE AGGREGATE in file ``loss_sql``."""
+    # Deferred: the SQL front end imports the core, not the other way round.
+    from repro.core.loss.compiler import compile_loss
+    from repro.engine.sql import ast as sql_ast
+    from repro.engine.sql.parser import parse_statement
+
+    registry = LossRegistry()
+    if loss_sql:
+        with open(loss_sql) as handle:
+            statement = parse_statement(handle.read())
+        if not isinstance(statement, sql_ast.CreateAggregate):
+            raise TabulaError(f"{loss_sql}: expected a CREATE AGGREGATE statement")
+        registry.register(compile_loss(statement), replace=True)
+    return registry
+
+
+def _load(
+    document: dict,
+    path: Union[str, Path],
+    table: Table,
+    registry: Optional[LossRegistry],
+    on_corruption: str,
+) -> Tabula:
+    corrupt = _audited(document, path)
 
     registry = registry if registry is not None else LossRegistry()
     loss_info = document["loss"]
@@ -385,40 +483,23 @@ def load_cube(
     )
 
     samples: Dict[int, Table] = {}
-    bad_samples: List[Tuple[str, str, str]] = []  # (section, code, detail)
     for sid, payload in document["sample_table"].items():
-        if sid in corrupt_samples:
-            bad_samples.append(
-                (
-                    f"sample_table/{sid}",
-                    TAB506_SAMPLE_CORRUPT,
-                    "sample failed its checksum",
-                )
-            )
+        if sid in corrupt:
             continue  # degrade/repair: handled below, after the store exists
         try:
             samples[int(sid)] = table_from_json(payload)
         except (KeyError, TypeError, ValueError) as exc:
-            bad_samples.append(
-                (
-                    f"sample_table/{sid}",
-                    TAB506_SAMPLE_CORRUPT,
-                    f"sample payload is undecodable: {exc}",
-                )
+            corrupt[sid] = SectionStatus(
+                f"sample_table/{sid}",
+                False,
+                TAB506_SAMPLE_CORRUPT,
+                f"sample payload is undecodable: {exc}",
             )
-            corrupt_samples[sid] = TAB506_SAMPLE_CORRUPT
-    if bad_samples and on_corruption == "raise":
-        # One pass, every corrupt sample named — then the recovery hint.
-        summary = "; ".join(
-            f"{section} [{code}]: {detail}" for section, code, detail in bad_samples
-        )
-        raise PersistenceError(
-            f"{len(bad_samples)} corrupt sample(s): {summary}; reload with "
-            "on_corruption='degrade' or 'repair' to recover",
-            code=bad_samples[0][1],
-            section=bad_samples[0][0],
-            path=path,
-            failures=[(section, code) for section, code, _ in bad_samples],
+    if corrupt and on_corruption == "raise":
+        _raise_collected(
+            list(corrupt.values()),
+            path,
+            "; reload with on_corruption='degrade' or 'repair' to recover",
         )
 
     cell_to_sample = {
@@ -427,10 +508,14 @@ def load_cube(
     }
     known = frozenset(_cell_from_list(c) for c in document["known_cells"])
 
+    build = document.get("build", {})
     config = TabulaConfig(
         cubed_attrs=tuple(document["cubed_attrs"]),
         threshold=document["threshold"],
         loss=loss,
+        epsilon=global_sample.epsilon,
+        delta=global_sample.delta,
+        **{name: build[name] for name in _BUILD_FIELDS if name in build},
     )
     tabula = Tabula(table, config)
     store = SamplingCubeStore(
@@ -440,8 +525,8 @@ def load_cube(
         samples=samples,
         known_cells=known,
     )
-    report = LoadReport(corrupt_samples={int(s): c for s, c in corrupt_samples.items()})
-    for sid_text in corrupt_samples:
+    report = LoadReport(corrupt_samples={int(s): TAB506_SAMPLE_CORRUPT for s in corrupt})
+    for sid_text in corrupt:
         sid = int(sid_text)
         affected = store.drop_sample(
             sid, f"sample {sid} failed validation ({TAB506_SAMPLE_CORRUPT}) in {path}"
@@ -482,36 +567,26 @@ def _repair_cell(tabula: Tabula, store: SamplingCubeStore, cell) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Offline verification (the `repro cube verify` deploy gate)
-# ---------------------------------------------------------------------------
+def cube_info(path: Union[str, Path]) -> Dict[str, object]:
+    """What ``repro info`` prints about a saved cube, label → value.
 
-
-@dataclass(frozen=True)
-class SectionStatus:
-    """Validation outcome for one document section."""
-
-    section: str
-    ok: bool
-    code: str = ""
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class CubeVerifyReport:
-    """Outcome of :func:`verify_cube_file`."""
-
-    path: str
-    format_version: Optional[int]
-    sections: Tuple[SectionStatus, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.sections)
-
-    @property
-    def failures(self) -> Tuple[SectionStatus, ...]:
-        return tuple(s for s in self.sections if not s.ok)
+    Audited like a load, but needs neither the raw table nor the loss.
+    """
+    document = _read_document(path)
+    _audited(document, path)
+    samples = document["sample_table"].values()
+    loss = document["loss"]
+    build = ", ".join(f"{k}={v}" for k, v in document.get("build", {}).items())
+    return {
+        "cubed attributes": ", ".join(document["cubed_attrs"]),
+        "threshold θ": document["threshold"],
+        "loss function": f"{loss['name']} on {loss['target_attrs']}",
+        "build": build or "not recorded (loads with the defaults)",
+        "iceberg cells": len(document["cube_table"]),
+        "known cells": len(document["known_cells"]),
+        "samples": f"{len(samples)} ({sum(p['num_rows'] for p in samples)} tuples)",
+        "global sample": f"{document['global_sample']['table']['num_rows']} tuples",
+    }
 
 
 def verify_cube_file(path: Union[str, Path]) -> CubeVerifyReport:
@@ -522,7 +597,6 @@ def verify_cube_file(path: Union[str, Path]) -> CubeVerifyReport:
     every finding lands in the report (the CLI turns it into an exit
     code).
     """
-    statuses: List[SectionStatus] = []
     try:
         document = _read_document(path)
     except PersistenceError as exc:
@@ -531,54 +605,4 @@ def verify_cube_file(path: Union[str, Path]) -> CubeVerifyReport:
             format_version=None,
             sections=(SectionStatus("document", False, exc.code, str(exc)),),
         )
-    version = document["format_version"]
-    for name in _FATAL_SECTIONS + ("sample_table",):
-        if name not in document:
-            statuses.append(
-                SectionStatus(name, False, TAB504_MISSING_SECTION, "section missing")
-            )
-    if version == 1:
-        statuses.append(
-            SectionStatus(
-                "envelope", True, "", "legacy v1 file: no checksums to verify"
-            )
-        )
-        return CubeVerifyReport(str(path), version, tuple(statuses))
-    envelope = document.get("envelope")
-    if not isinstance(envelope, dict) or "checksums" not in envelope:
-        statuses.append(
-            SectionStatus("envelope", False, TAB504_MISSING_SECTION, "no checksum envelope")
-        )
-        return CubeVerifyReport(str(path), version, tuple(statuses))
-    for name in _FATAL_SECTIONS:
-        if name not in document:
-            continue  # already reported missing
-        expected = envelope["checksums"].get(name)
-        actual = _section_crc(document[name])
-        if expected == actual:
-            statuses.append(SectionStatus(name, True, detail=f"crc32 {actual}"))
-        else:
-            statuses.append(
-                SectionStatus(
-                    name,
-                    False,
-                    TAB505_SECTION_CORRUPT,
-                    f"recorded crc32 {expected}, computed {actual} (fatal)",
-                )
-            )
-    sample_checksums = envelope.get("sample_checksums", {})
-    for sid, payload in document.get("sample_table", {}).items():
-        expected = sample_checksums.get(sid)
-        actual = _section_crc(payload)
-        if expected == actual:
-            statuses.append(SectionStatus(f"sample_table/{sid}", True, detail=f"crc32 {actual}"))
-        else:
-            statuses.append(
-                SectionStatus(
-                    f"sample_table/{sid}",
-                    False,
-                    TAB506_SAMPLE_CORRUPT,
-                    f"recorded crc32 {expected}, computed {actual} (recoverable)",
-                )
-            )
-    return CubeVerifyReport(str(path), version, tuple(statuses))
+    return CubeVerifyReport(str(path), document["format_version"], tuple(_audit(document)))

@@ -411,8 +411,9 @@ class Tabula:
 
         Used by :mod:`repro.core.persistence` to restore a middleware
         instance without re-running initialization. Stage-level
-        diagnostics (:attr:`report`, dry/real-run results) remain
-        unavailable on a restored instance.
+        diagnostics (:attr:`report`, :attr:`real_run_result`) remain
+        unavailable on a restored instance; :attr:`dry_run_result` is
+        derived on first use.
         """
         if tuple(store.attrs) != tuple(self.config.cubed_attrs):
             raise InvalidQueryError(
@@ -863,8 +864,18 @@ class Tabula:
 
     @property
     def dry_run_result(self) -> DryRunResult:
+        """The dry run's per-cell statistics. A loaded instance derives them
+        on first use: they are algebraic over the raw table and the global
+        sample (Section III-B1)."""
         if self._dry is None:
-            raise CubeNotInitializedError("call initialize() first")
+            store = self._require_store()
+            with self.write_lock:
+                if self._dry is None:
+                    cfg = self.config
+                    self._dry = dry_run(
+                        self.table, cfg.cubed_attrs, cfg.loss, cfg.threshold,
+                        store.global_sample,
+                    )
         return self._dry
 
     @property

@@ -44,7 +44,7 @@ from typing import Deque, Dict, List, Optional, Union
 
 from collections import deque
 
-from repro.core.maintenance import append_rows, batch_id_for, recover_journal
+from repro.core.maintenance import append_rows, batch_id_for
 from repro.core.tabula import Tabula
 from repro.engine.table import Table
 from repro.errors import TabulaError
@@ -154,8 +154,9 @@ def recover_ingest(
 
     ``tabula`` may be restored to *any* point along the pipeline's
     deterministic state sequence: the pre-ingest base (the common
-    restart path — re-initialize or reload the cube file that predates
-    the WAL), a mid-stream snapshot, or an in-memory instance that
+    restart path — the cube file that predates the WAL, as
+    :func:`~repro.core.persistence.open_cube` loads it), a mid-stream
+    snapshot, or an in-memory instance that
     survived with a half-applied batch. Recovery locates the restored
     state on the batch-boundary ladder anchored by the WAL's recorded
     base row count, then walks the WAL in seq order:

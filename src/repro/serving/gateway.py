@@ -17,11 +17,11 @@ semantics:
   misbehaves, degraded cells are answered from the sample rungs with
   ``CIRCUIT_OPEN`` rather than stalling the whole pool;
 - **hot reload** — the cube is held as an immutable generation-stamped
-  snapshot; ``reload()`` verifies a new cube file with
-  ``verify_cube_file`` *before* loading and atomically swaps the
-  snapshot only on success, so a corrupt file rolls back with the old
-  cube still serving. In-flight requests keep the generation they
-  pinned at dispatch.
+  snapshot; ``reload()`` reads and audits a new cube file once
+  (``load_cube``) and atomically swaps the snapshot only on success, so
+  a corrupt file rolls back with the old cube still serving. In-flight
+  requests keep the generation they pinned at dispatch. A gateway with
+  an ingest pipeline attached refuses to reload.
 
 Every response carries the core :class:`GuaranteeStatus` plus a
 :class:`ServingOutcome` so dashboards can render partial results
@@ -439,13 +439,18 @@ class ServingGateway:
     def reload(self, path: Union[str, Path, None] = None) -> ReloadResult:
         """Atomically swap in a (verified) replacement cube file.
 
-        The replacement is audited with ``verify_cube_file`` and then
-        fully loaded *before* the swap; any corruption or load failure
-        rolls back — the previous snapshot keeps serving and the attempt
-        is recorded in :meth:`stats`. In-flight requests finish on the
+        The replacement is read, audited and fully loaded *before* the
+        swap (one ``load_cube``); any corruption or load failure rolls
+        back — the previous snapshot keeps serving and the attempt is
+        recorded in :meth:`stats`. In-flight requests finish on the
         generation they pinned.
+
+        Refused (``ok=False``) while an ingest pipeline is attached: the
+        pipeline keeps applying to the instance it was built on, and a
+        file that predates its batches would pair an old store with the
+        grown table.
         """
-        from repro.core.persistence import PersistenceError, load_cube, verify_cube_file
+        from repro.core.persistence import load_cube
 
         with self._reload_lock:
             target = str(path) if path is not None else self._snapshot.path
@@ -456,19 +461,18 @@ class ServingGateway:
                 )
             with self._stats_lock:
                 self._reloads["attempted"] += 1
-            report = verify_cube_file(target)
-            if not report.ok:
-                failures = ", ".join(
-                    f"{s.section}[{s.code}]" for s in report.failures
-                )
+            if self.ingestor is not None:
                 return self._reload_failed(
-                    target, f"verification failed: {failures}"
+                    target,
+                    f"refused: ingest pipeline {type(self.ingestor).__name__} is "
+                    "attached and applies to the served instance; restart the "
+                    "server to serve another cube file",
                 )
             try:
                 tabula = load_cube(target, self._snapshot.tabula.table, registry=self._registry)
                 if self._transform is not None:
                     tabula = self._transform(tabula)
-            except (PersistenceError, TabulaError) as exc:
+            except TabulaError as exc:
                 return self._reload_failed(target, f"load failed: {exc}")
             fault_point(FP_RELOAD_SWAP)
             new = CubeSnapshot(
@@ -498,13 +502,14 @@ class ServingGateway:
     # Streaming ingest
     # ------------------------------------------------------------------
     def attach_ingestor(self, ingestor: Any) -> None:
-        """Bind a :class:`~repro.ingest.stream.StreamIngestor`.
+        """Bind an ingest pipeline: a :class:`~repro.ingest.stream.StreamIngestor`,
+        or a shard worker's :class:`~repro.serving.shard_worker.WorkerIngest`.
 
         Once attached, every answered response is stamped with the
-        pipeline's current ``staleness_batches`` and :meth:`stats`
-        grows an ``ingest`` block (watermarks + counters). Attach
-        during setup, before traffic — the reference is read without a
-        lock on the hot path.
+        pipeline's current ``staleness_batches``, :meth:`stats` grows
+        an ``ingest`` block (watermarks + counters) and :meth:`reload`
+        refuses. Attach during setup, before traffic — the reference is
+        read without a lock on the hot path.
         """
         self.ingestor = ingestor
 

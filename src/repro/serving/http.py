@@ -46,7 +46,8 @@ guarantee transitions are monotone (see
   the ``ingest`` block (watermarks, queue bounds, counters) when a
   pipeline is attached.
 - ``POST /reload`` — hot-swap the cube file (body ``{"path": ...}``
-  optional); a corrupt replacement rolls back and reports 409.
+  optional); a corrupt replacement rolls back and reports 409, as does
+  any reload while an ingest pipeline is attached.
 
 Status mapping: answered requests (``OK`` / ``DEGRADED`` /
 ``CIRCUIT_OPEN``) are 200 — degradation is carried in the body, the

@@ -33,9 +33,8 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.maintenance import append_rows
+from repro.core.persistence import loss_registry, open_cube
 from repro.core.tabula import Tabula
-from repro.engine.io import read_csv
-from repro.engine.schema import ColumnType
 from repro.engine.table import Table
 from repro.errors import TabulaError
 from repro.ingest.stream import recover_ingest
@@ -129,6 +128,14 @@ class WorkerIngest:
             "queued_rows": 0,
         }
 
+    def staleness_batches(self) -> int:
+        """Always 0: an answer never trails an acknowledged batch here."""
+        return 0
+
+    def stats(self) -> Dict[str, object]:
+        """The ``ingest`` block of the gateway's stats."""
+        return {"watermarks": self.watermarks(), "failure": ""}
+
 
 class ShardWorker:
     """Socket server fronting one shard's gateway (thread per connection)."""
@@ -140,12 +147,10 @@ class ShardWorker:
         num_shards: int,
         host: str = "127.0.0.1",
         port: int = 0,
-        ingest: Optional[WorkerIngest] = None,
     ) -> None:
         self._gateway = gateway
         self.shard_id = shard_id
         self.num_shards = num_shards
-        self._ingest = ingest
         self._listener = socket.create_server((host, port))
         self.port = int(self._listener.getsockname()[1])
         self._closed = threading.Event()
@@ -244,7 +249,8 @@ class ShardWorker:
             }
         if op == "ingest":
             fault_point(FP_HANDLE)
-            if self._ingest is None:
+            ingest = self._gateway.ingestor
+            if ingest is None:
                 return {
                     "ok": False,
                     "kind": "invalid",
@@ -254,19 +260,16 @@ class ShardWorker:
             if rows is None or rows.num_rows == 0:
                 return {"ok": True, "shard": self.shard_id, "seq": 0, "rows": 0}
             seed = request.get("seed")
-            seq = self._ingest.ingest(rows, None if seed is None else int(seed))
+            seq = ingest.ingest(rows, None if seed is None else int(seed))
             return {
                 "ok": True,
                 "shard": self.shard_id,
                 "seq": seq,
                 "rows": rows.num_rows,
-                "watermarks": self._ingest.watermarks(),
+                "watermarks": ingest.watermarks(),
             }
         if op == "stats":
-            stats = self._gateway.stats()
-            if self._ingest is not None and "ingest" not in stats:
-                stats["ingest"] = {"watermarks": self._ingest.watermarks(), "failure": ""}
-            return {"ok": True, "shard": self.shard_id, "stats": stats}
+            return {"ok": True, "shard": self.shard_id, "stats": self._gateway.stats()}
         if op == "reload":
             result = self._gateway.reload(request.get("path"))
             return {
@@ -301,60 +304,29 @@ def _row_limit(request: Mapping[str, Any]) -> Optional[int]:
 
 
 def build_worker(args: argparse.Namespace) -> ShardWorker:
-    with open(args.cube) as handle:
-        document = json.load(handle)
-    attrs = document.get("cubed_attrs", [])
-    table = read_csv(args.table, types={a: ColumnType.CATEGORY for a in attrs})
-    registry = None
-    if args.loss_sql:
-        from repro.cli import _registry_with_declaration
-
-        registry = _registry_with_declaration(args.loss_sql)
-    placement = Placement(args.num_shards, vnodes=args.vnodes)
-    serving_config = ServingConfig(
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        default_deadline_seconds=args.deadline,
-        min_service_seconds=args.min_service_seconds,
-    )
-    ingest: Optional[WorkerIngest] = None
-    if getattr(args, "ingest_dir", None):
-        from repro.core.persistence import load_cube
-
-        ingest_dir = Path(args.ingest_dir)
+    tabula = open_cube(args.cube, args.table, args.loss_sql)
+    ingest_dir = Path(args.ingest_dir) if getattr(args, "ingest_dir", None) else None
+    if ingest_dir is not None:
         ingest_dir.mkdir(parents=True, exist_ok=True)
         wal_path = ingest_dir / f"shard{args.shard}.wal"
         journal_path = ingest_dir / f"shard{args.shard}.journal"
-        tabula = load_cube(args.cube, table, registry=registry)
-        # A disk-restored cube has no dry-run statistics, which the
-        # ingest plan/apply path needs; rebuild them (and the store)
-        # before replaying any crash-orphaned WAL batches.
-        tabula.initialize()
         recover_ingest(tabula, wal_path, journal_path)
-        gateway = ServingGateway(
-            tabula,
-            config=serving_config,
-            cube_path=args.cube,
-            registry=registry,
-            transform=shard_transform(placement, args.shard),
-        )
-        ingest = WorkerIngest(gateway.tabula, wal_path, journal_path)
-    else:
-        gateway = ServingGateway.from_cube_file(
-            args.cube,
-            table,
-            registry=registry,
-            config=serving_config,
-            transform=shard_transform(placement, args.shard),
-        )
-    return ShardWorker(
-        gateway,
-        args.shard,
-        args.num_shards,
-        host=args.host,
-        port=args.port,
-        ingest=ingest,
+    gateway = ServingGateway(
+        tabula,
+        config=ServingConfig(
+            workers=args.workers,
+            queue_depth=args.queue_depth,
+            default_deadline_seconds=args.deadline,
+            min_service_seconds=args.min_service_seconds,
+        ),
+        cube_path=args.cube,
+        registry=loss_registry(args.loss_sql),
+        transform=shard_transform(Placement(args.num_shards, vnodes=args.vnodes), args.shard),
     )
+    if ingest_dir is not None:
+        # Attached, the pipeline also makes the gateway refuse hot reload.
+        gateway.attach_ingestor(WorkerIngest(gateway.tabula, wal_path, journal_path))
+    return ShardWorker(gateway, args.shard, args.num_shards, host=args.host, port=args.port)
 
 
 def main(argv: Optional[list] = None) -> int:

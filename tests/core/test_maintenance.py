@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.loss import HistogramLoss, MeanLoss
+from repro.core.loss import HeatmapLoss, HistogramLoss, MeanLoss
 from repro.core.maintenance import append_rows
 from repro.core.tabula import GuaranteeStatus, Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
@@ -170,12 +170,31 @@ class TestErrors:
         assert tabula.query({}).guarantee is GuaranteeStatus.CERTIFIED
         assert tabula.actual_loss({}) <= theta
 
-    def test_restored_cube_rejected(self, rides_small, tmp_path):
+
+class TestRestored:
+    @pytest.mark.parametrize(
+        "loss,theta",
+        [(MeanLoss("fare_amount"), THETA), (HeatmapLoss("pickup_x", "pickup_y"), 0.003)],
+        ids=["mean", "heatmap"],
+    )
+    def test_restored_cube_appends_like_the_built_one(self, rides_small, tmp_path, loss, theta):
+        """A loaded cube is the saved cube: the same batches grow both
+        into the same cube (its dry run is derived on the first append)."""
         from repro.core.persistence import load_cube, save_cube
 
-        tabula = build(rides_small)
+        built = Tabula(
+            rides_small, TabulaConfig(cubed_attrs=ATTRS, threshold=theta, loss=loss, seed=7)
+        )
+        built.initialize()
         path = tmp_path / "cube.json"
-        save_cube(tabula, path)
+        save_cube(built, path)
         restored = load_cube(path, rides_small)
-        with pytest.raises(TabulaError, match="re-initialized"):
-            append_rows(restored, rides_small.head(5))
+        resampled = 0
+        for i in range(3):
+            delta = generate_nyctaxi(num_rows=300, seed=100 + i)
+            report = append_rows(built, delta, seed=i)
+            assert append_rows(restored, delta, seed=i).affected_cells == report.affected_cells
+            resampled += report.promoted_cells + report.repaired_cells
+        assert resampled > 0, "no batch drew a sample"
+        assert restored.store.content_digest() == built.store.content_digest()
+        check_guarantee(restored)

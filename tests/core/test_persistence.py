@@ -225,18 +225,23 @@ class TestCorruptionRecovery:
             assert result.source == "local"
             assert restored.actual_loss(query) <= 0.05 + 1e-12
 
-    def test_repair_redraws_the_rows_the_build_drew(self, rides_small, tmp_path):
+    @pytest.mark.parametrize(
+        "build",
+        [{}, {"seed": 7, "pool_size": 500}],
+        ids=["defaults", "seed7-pool500"],
+    )
+    def test_repair_redraws_the_rows_the_build_drew(self, rides_small, tmp_path, build):
         """A cell's sample is a function of (its rows, config): repairing
-        a damaged pool-drawing cell reproduces the build's own draw. The
-        cube file does not record ``seed``/``pool_size``, so this holds
-        for the defaults ``load_cube`` restores — which the build uses."""
+        a damaged pool-drawing cell reproduces the build's own draw."""
         loss = MeanLoss("fare_amount")
         config = TabulaConfig(
-            cubed_attrs=ATTRS, threshold=0.05, loss=loss, sample_selection=False
+            cubed_attrs=ATTRS, threshold=0.05, loss=loss, sample_selection=False, **build
         )
         all_loss = loss.loss(
             loss.extract(rides_small),
-            loss.extract(draw_global_sample(rides_small, np.random.default_rng(0)).table),
+            loss.extract(
+                draw_global_sample(rides_small, np.random.default_rng(config.seed)).table
+            ),
         )
         config.threshold = all_loss / 2  # makes the 3000-row "All" cell iceberg
         built = Tabula(rides_small, config)
@@ -266,6 +271,54 @@ class TestCorruptionRecovery:
         restored = load_cube(path, rides_small)
         result = restored.query({"payment_type": "cash"})
         assert result.sample.num_rows > 0
+
+
+class TestBuildParameters:
+    """The loaded config is the saved config."""
+
+    def test_build_fields_round_trip(self, rides_small, tmp_path):
+        config = TabulaConfig(
+            cubed_attrs=ATTRS,
+            threshold=0.05,
+            loss=MeanLoss("fare_amount"),
+            seed=7,
+            pool_size=500,
+            lazy_sampling=False,
+            sample_selection=False,
+        )
+        built = Tabula(rides_small, config)
+        built.initialize()
+        path = tmp_path / "cube.json"
+        save_cube(built, path)
+        loaded = load_cube(path, rides_small).config
+        for name in ("seed", "pool_size", "lazy_sampling", "sample_selection", "epsilon", "delta"):
+            assert getattr(loaded, name) == getattr(config, name), name
+
+    def test_file_without_build_section_loads_with_defaults(
+        self, initialized, rides_small, tmp_path
+    ):
+        """Every file written before the section existed still loads."""
+        path = tmp_path / "cube.json"
+        save_cube(initialized, path)
+        document = json.loads(path.read_text())
+        del document["build"]
+        del document["envelope"]["checksums"]["build"]
+        path.write_text(json.dumps(document))
+        restored = load_cube(path, rides_small)
+        defaults = TabulaConfig(cubed_attrs=ATTRS, threshold=0.05, loss=MeanLoss("fare_amount"))
+        for name in ("seed", "pool_size", "lazy_sampling", "sample_selection"):
+            assert getattr(restored.config, name) == getattr(defaults, name), name
+        assert restored.store.content_digest() == initialized.store.content_digest()
+
+    def test_tampered_build_section_is_fatal(self, initialized, rides_small, tmp_path):
+        path = tmp_path / "cube.json"
+        save_cube(initialized, path)
+        document = json.loads(path.read_text())
+        document["build"]["seed"] = 8
+        path.write_text(json.dumps(document))
+        with pytest.raises(PersistenceError) as excinfo:
+            load_cube(path, rides_small)
+        assert excinfo.value.failures == (("build", "TAB505"),)
 
 
 class TestVerifyCubeFile:

@@ -155,3 +155,48 @@ class TestKillAtEveryPoint:
         stranger = build(generate_nyctaxi(num_rows=123, seed=9))
         with pytest.raises(TabulaError, match="does not belong"):
             recover_ingest(stranger, wal_path, journal_path)
+
+
+class TestRestartFromCubeFile:
+    """``repro serve --ingest`` boots from the cube file, not a rebuild."""
+
+    def test_open_cube_then_recover_keeps_the_files_digest(self, rides_tiny, tmp_path):
+        from repro.core.persistence import open_cube, save_cube
+        from repro.engine.io import read_csv, write_csv
+        from repro.engine.schema import ColumnType
+
+        def csv_table(table, name):
+            path = tmp_path / name
+            write_csv(table, path)
+            return path, read_csv(path, types={a: ColumnType.CATEGORY for a in ATTRS})
+
+        table_csv, table = csv_table(rides_tiny, "rides.csv")
+        _, rows = csv_table(generate_nyctaxi(num_rows=2 * BATCH_ROWS, seed=33), "delta.csv")
+        built = Tabula(
+            table,
+            TabulaConfig(
+                cubed_attrs=ATTRS, threshold=0.1, loss=MeanLoss("fare_amount"), seed=7
+            ),
+        )
+        built.initialize()
+        cube_path = tmp_path / "cube.json"
+        save_cube(built, cube_path)
+        wal_path = tmp_path / "ingest.wal"
+        journal_path = tmp_path / "maintenance.journal"
+
+        served = open_cube(cube_path, table_csv)
+        recover_ingest(served, wal_path, journal_path)  # first boot: no logs yet
+        assert served.store.content_digest() == built.store.content_digest()
+
+        live = StreamIngestor(served, wal_path, journal_path)
+        for i in range(2):
+            assert live.submit(batch(rows, i), seed=seed_of(i)).accepted
+            append_rows(built, batch(rows, i), seed=seed_of(i))
+        assert live.wait_applied(timeout=20.0)
+        live.close(timeout=10.0)
+        assert served.store.content_digest() == built.store.content_digest()
+
+        restarted = open_cube(cube_path, table_csv)
+        assert recover_ingest(restarted, wal_path, journal_path).reapplied_batches == 2
+        assert restarted.table.num_rows == built.table.num_rows
+        assert restarted.store.content_digest() == built.store.content_digest()

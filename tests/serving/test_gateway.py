@@ -17,6 +17,11 @@ import pytest
 from repro.core.loss import MeanLoss
 from repro.core.persistence import save_cube
 from repro.core.tabula import GuaranteeStatus, Tabula, TabulaConfig
+from repro.data import generate_nyctaxi
+from repro.engine.column import Column
+from repro.engine.cube import CubeCells
+from repro.engine.table import Table
+from repro.ingest import StreamIngestor
 from repro.resilience.faults import CrashPoint, IOFault, InjectedCrash, SlowIO, inject
 from repro.serving import BreakerConfig, BreakerState, ServingConfig, ServingGateway, ServingOutcome
 from repro.serving.gateway import FP_EXECUTE, FP_RELOAD_SWAP
@@ -306,6 +311,52 @@ class TestHotReload:
             assert stats["reloads"] == {"attempted": 1, "succeeded": 0, "failed": 1}
             assert "cube_table" in stats["last_reload_error"]
         finally:
+            gateway.close()
+
+    def test_reload_refused_while_ingest_is_attached(self, rides_small, tmp_path):
+        """Swapping in the file under a live pipeline would pair its store
+        with the grown table (and detach ingest from what queries read):
+        refused, the generation stays, and CERTIFIED answers hold θ."""
+        theta = 0.05
+        tabula = build_tabula(rides_small, theta=theta)
+        path = tmp_path / "cube.json"
+        save_cube(tabula, path)
+        gateway = ServingGateway.from_cube_file(path, rides_small)
+        ingestor = StreamIngestor(
+            gateway.tabula, tmp_path / "ingest.wal", tmp_path / "maintenance.journal"
+        )
+        gateway.attach_ingestor(ingestor)
+        try:
+            delta = generate_nyctaxi(num_rows=800, seed=99)
+            surge = Table(
+                [
+                    Column(c.name, c.ctype, c.data * 5) if c.name == "fare_amount" else c
+                    for c in delta.columns()
+                ]
+            )
+            assert ingestor.submit(surge, seed=1).accepted
+            assert ingestor.wait_applied(timeout=20.0)
+
+            result = gateway.reload()
+            assert not result.ok and result.generation == 1
+            assert "ingest pipeline StreamIngestor" in result.error
+            assert gateway.stats()["reloads"] == {"attempted": 1, "succeeded": 0, "failed": 1}
+
+            served = gateway.tabula
+            loss = served.config.loss
+            values = loss.extract(served.table)
+            cube = CubeCells(served.table, ATTRS)
+            certified = 0
+            for key in cube:
+                response = gateway.query({a: v for a, v in zip(ATTRS, key) if v is not None})
+                assert response.generation == 1
+                if response.guarantee is GuaranteeStatus.CERTIFIED:
+                    certified += 1
+                    raw = values[cube.cell_indices(key)]
+                    assert loss.loss(raw, loss.extract(response.sample)) <= theta + 1e-12, key
+            assert certified > 0
+        finally:
+            ingestor.close(timeout=10.0)
             gateway.close()
 
     def test_inflight_request_keeps_its_pinned_generation(

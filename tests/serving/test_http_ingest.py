@@ -218,6 +218,20 @@ class TestIngestRoute:
         assert gateway.tabula.table.num_rows == rows_before
 
 
+class TestReloadUnderIngest:
+    def test_reload_is_409_while_a_pipeline_is_attached(self, served_ingest, tmp_path):
+        from repro.core.persistence import save_cube
+
+        base, gateway, _ = served_ingest
+        cube_path = tmp_path / "cube.json"
+        save_cube(gateway.tabula, cube_path)
+        status, _, body = post_json(f"{base}/reload", {"path": str(cube_path)})
+        assert status == 409
+        assert not body["ok"] and body["generation"] == 1
+        assert "ingest pipeline" in body["error"]
+        assert gateway.stats()["reloads"]["failed"] == 1
+
+
 class TestIngestVisibility:
     def test_readyz_and_stats_grow_ingest_blocks(self, served_ingest, delta):
         base, _, ingestor = served_ingest

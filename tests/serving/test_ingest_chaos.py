@@ -16,6 +16,7 @@ acceptance invariants:
   recovering the (now duplicate-bearing) WAL into a pristine cube.
 """
 
+import argparse
 import socket
 import time
 
@@ -29,6 +30,7 @@ from repro.engine.schema import ColumnType
 from repro.ingest import recover_ingest
 from repro.resilience.faults import CrashPoint, encode_fault_specs
 from repro.serving import wire
+from repro.serving.shard_worker import build_worker
 from repro.serving.supervisor import WorkerState
 
 from tests.serving.conftest import CLUSTER_ATTRS, boot_cluster, where_for
@@ -55,6 +57,28 @@ def ingest_op(endpoint, rows, seed):
             {"op": "ingest", "rows": wire.table_to_wire(rows), "seed": seed},
         )
         return wire.recv_message(sock)
+
+
+def worker_args(cube_path, csv_path, ingest_dir):
+    """``shard_worker`` arguments for a one-shard in-process worker."""
+    return argparse.Namespace(
+        cube=cube_path, table=csv_path, shard=0, num_shards=1, vnodes=64,
+        host="127.0.0.1", port=0, workers=1, queue_depth=4, deadline=None,
+        min_service_seconds=0.0, loss_sql=None, ingest_dir=ingest_dir,
+    )
+
+
+class TestWorkerReload:
+    def test_reload_op_refused_with_ingest_dir(self, cluster_cube, tmp_path):
+        cube_path, csv_path, _ = cluster_cube
+        worker = build_worker(worker_args(cube_path, csv_path, str(tmp_path / "ingest")))
+        try:
+            reply = worker._handle({"op": "reload"})
+            assert not reply["ok"] and reply["generation"] == 1
+            assert "ingest pipeline WorkerIngest" in reply["error"]
+            assert worker._handle({"op": "health"})["generation"] == 1
+        finally:
+            worker.close()
 
 
 class TestKillMidAppend:
@@ -146,7 +170,6 @@ class TestKillMidAppend:
             csv_path, types={a: ColumnType.CATEGORY for a in CLUSTER_ATTRS}
         )
         fresh = load_cube(cube_path, table)
-        fresh.initialize()
         base_rows = fresh.table.num_rows
         recovery = recover_ingest(
             fresh, ingest_dir / "shard0.wal", ingest_dir / "shard0.journal"

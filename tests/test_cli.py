@@ -144,6 +144,7 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "threshold θ:      0.1" in out
         assert "iceberg cells:" in out
+        assert "build:            seed=0, lazy_sampling=True" in out
 
 
 class TestCubeVerify:
@@ -269,17 +270,14 @@ class TestServeCommand:
         import threading
         import urllib.request
 
-        from repro.cli import _registry_with_declaration
-        from repro.engine.schema import ColumnType
+        from repro.core.persistence import loss_registry, open_cube
         from repro.serving import ServingConfig, ServingGateway
         from repro.serving.http import make_server
 
-        attrs = json.loads(cube_file.read_text())["cubed_attrs"]
-        table = read_csv(rides_csv, types={a: ColumnType.CATEGORY for a in attrs})
-        gateway = ServingGateway.from_cube_file(
-            cube_file,
-            table,
-            registry=_registry_with_declaration(None),
+        gateway = ServingGateway(
+            open_cube(cube_file, rides_csv),
+            cube_path=cube_file,
+            registry=loss_registry(None),
             config=ServingConfig(workers=1, queue_depth=4),
         )
         server = make_server(gateway, port=0)
