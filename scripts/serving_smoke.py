@@ -2,9 +2,9 @@
 """CI smoke test for ``repro serve``: boot, overload, kill, verify.
 
 Part 1 — single-process gateway. Boots the HTTP gateway as a real
-subprocess over a tiny cube with a deliberately small worker pool, a
-tight admission queue, and an artificial per-request service floor;
-then fires a burst of concurrent stdlib clients well past the queue
+subprocess over a tiny cube with deliberately few execution slots, a
+tight admission bound, and an artificial per-request service floor;
+then fires a burst of concurrent stdlib clients well past the admission
 bound. Asserts that
 
 - the endpoint answers health/readiness checks,

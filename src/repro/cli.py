@@ -8,7 +8,7 @@ Usage (``python -m repro.cli <command>``):
 - ``info`` — summarize a saved cube;
 - ``cube verify`` — audit a saved cube's checksums and version;
 - ``serve`` — run the concurrent dashboard gateway over HTTP (bounded
-  admission queue, deadlines, circuit-broken fallback, hot reload;
+  admission, deadlines, circuit-broken fallback, hot reload;
   ``--ingest DIR`` adds crash-safe streaming ingest with progressive
   answers);
 - ``ingest`` — stream a CSV into a running ``serve --ingest`` server,
@@ -119,12 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--loss-sql", help="replay a CREATE AGGREGATE before loading")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8787)
-    serve.add_argument("--workers", type=int, default=4, help="request executor threads")
+    serve.add_argument("--workers", type=int, default=4, help="requests executing at once")
     serve.add_argument(
         "--queue-depth",
         type=int,
         default=32,
-        help="bounded admission queue; beyond it requests are shed",
+        help="requests allowed to wait for an execution slot; beyond it they are shed",
     )
     serve.add_argument(
         "--deadline",

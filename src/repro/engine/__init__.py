@@ -10,8 +10,8 @@ surface:
 - :mod:`repro.engine.expressions` — predicate trees for WHERE clauses,
 - :mod:`repro.engine.aggregates` — the aggregate-function framework with
   the paper's distributive / algebraic / holistic classification,
-- :mod:`repro.engine.groupby`, :mod:`repro.engine.cube`,
-  :mod:`repro.engine.join` — the relational operators Tabula needs,
+- :mod:`repro.engine.groupby`, :mod:`repro.engine.cube` — the
+  relational operators Tabula needs,
 - :mod:`repro.engine.catalog` — a named-table catalog standing in for the
   "underlying data system",
 - :mod:`repro.engine.sql` — lexer/parser/executor for the Tabula SQL

@@ -19,7 +19,7 @@ through; the probe's outcome decides between closing and re-opening.
 
 The clock is injectable so tests drive the cooldown deterministically;
 all state transitions happen under a lock (the gateway shares one
-breaker across its worker pool).
+breaker across every caller thread).
 """
 
 from __future__ import annotations

@@ -5,13 +5,17 @@ in milliseconds for *many concurrent users*. This module turns the
 in-process middleware into a serving layer with explicit robustness
 semantics:
 
-- **admission control + load shedding** — a fixed worker pool pulls
-  requests from a bounded queue; once the queue is full new requests
-  are fast-rejected with a typed ``SHED`` outcome instead of queueing
-  unboundedly (overload degrades throughput, never memory);
-- **deadlines** — each request carries a budget that propagates into
-  ``Tabula.query`` (cutting off the expensive raw-scan rung) and bounds
-  how long the submitting caller waits on the queue + execution;
+- **admission control + load shedding** — each request runs on its
+  caller's own thread. At most ``workers`` execute at once (a bounded
+  semaphore) and at most ``queue_depth`` more may wait for a slot;
+  past that, new requests are fast-rejected with a typed ``SHED``
+  outcome instead of queueing unboundedly (overload degrades
+  throughput, never memory);
+- **deadlines** — each request carries a budget that bounds how long
+  its caller waits for an execution slot and then propagates into
+  ``Tabula.query``, whose own checks cut off the expensive raw-scan
+  rung. A request that has started executing is not abandoned at the
+  deadline: it finishes on its caller's thread, bounded by those checks;
 - **circuit breaker** — the raw-table fallback is guarded by a shared
   :class:`~repro.serving.breaker.CircuitBreaker`: when the backend
   misbehaves, degraded cells are answered from the sample rungs with
@@ -31,12 +35,9 @@ honestly.
 from __future__ import annotations
 
 import enum
-import queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Union
@@ -54,8 +55,8 @@ WhereClause = Mapping[str, object]
 
 FP_EXECUTE = register_fault_point(
     "serve.request.execute",
-    "worker picked a request off the admission queue, query not started "
-    "(SlowIO here stalls workers → queue saturation)",
+    "request holds an execution slot, query not started "
+    "(SlowIO here stalls the slot → admission saturation)",
 )
 FP_RELOAD_SWAP = register_fault_point(
     "serve.reload.swap",
@@ -69,7 +70,8 @@ class ServingOutcome(enum.Enum):
     - ``OK`` — certified answer;
     - ``DEGRADED`` — honest answer without the θ-certificate
       (``DOWNGRADED``/``VOID`` guarantee);
-    - ``SHED`` — fast-rejected at admission: the queue was full;
+    - ``SHED`` — fast-rejected at admission: every slot was busy and
+      ``queue_depth`` callers were already waiting;
     - ``DEADLINE_EXCEEDED`` — the budget expired before an answer;
     - ``CIRCUIT_OPEN`` — answered from the sample rungs because the
       breaker refused the raw-table fallback.
@@ -87,15 +89,16 @@ class ServingConfig:
     """Gateway sizing and robustness knobs.
 
     Attributes:
-        workers: request-executor threads.
-        queue_depth: bounded admission queue; a full queue sheds.
+        workers: requests executing at once (each on its caller's thread).
+        queue_depth: callers allowed to wait for an execution slot;
+            past that, requests shed.
         default_deadline_seconds: budget applied to requests that do not
             carry their own (``None`` = unlimited).
         breaker: circuit-breaker parameters for the raw-scan fallback.
         stats_window: ring-buffer size for latency percentiles.
         min_service_seconds: artificial per-request service-time floor.
             Zero in production; overload benchmarks and tests raise it
-            to create deterministic queue pressure.
+            to create deterministic admission pressure.
     """
 
     workers: int = 4
@@ -160,28 +163,8 @@ class ReloadResult:
     error: str = ""
 
 
-class _Request:
-    """One unit of admitted work: a batch of WHERE clauses (often one)."""
-
-    __slots__ = ("wheres", "deadline", "future", "geometry")
-
-    def __init__(
-        self,
-        wheres: List[WhereClause],
-        deadline: Optional[Deadline],
-        geometry: Optional[spatial.Geometry] = None,
-    ) -> None:
-        self.wheres = wheres
-        self.deadline = deadline
-        self.geometry = geometry  # parsed before admission, shared by the batch
-        self.future: Future = Future()
-
-
-_SENTINEL = object()
-
-
 class ServingGateway:
-    """Thread-pooled query gateway with shedding, deadlines and reload.
+    """Query gateway with admission control, deadlines and reload.
 
     Usage::
 
@@ -190,9 +173,10 @@ class ServingGateway:
             response = gateway.query({"payment_type": "cash"},
                                      deadline_seconds=0.05)
 
-    The gateway starts its workers on construction; ``close()`` (or the
-    context manager) drains them. A gateway constructed from a cube
-    *file* supports :meth:`reload`.
+    Every request runs on the thread that calls :meth:`query`; the
+    gateway owns no threads. ``close()`` (or the context manager) stops
+    admitting requests. A gateway constructed from a cube *file*
+    supports :meth:`reload`.
     """
 
     def __init__(
@@ -220,10 +204,12 @@ class ServingGateway:
             tabula=tabula,
             path=str(cube_path) if cube_path is not None else None,
         )
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=self.config.queue_depth)
+        self._slots = threading.BoundedSemaphore(self.config.workers)
         self._stats_lock = create_lock("gateway._stats_lock")
         self._counters: Dict[str, int] = {o.value: 0 for o in ServingOutcome}  # guard: _stats_lock
         self._errors = 0  # guard: _stats_lock
+        # Callers executing or waiting for one of the ``workers`` slots.
+        self._admitted = 0  # guard: _stats_lock
         self._requests_total = 0  # guard: _stats_lock
         self._latencies: Deque[float] = deque(maxlen=self.config.stats_window)  # guard: _stats_lock
         self._reloads = {"attempted": 0, "succeeded": 0, "failed": 0}  # guard: _stats_lock
@@ -234,13 +220,6 @@ class ServingGateway:
         # without any lock.
         self.ingestor: Optional[Any] = None
         self._closed = False
-        self._workers: List[threading.Thread] = []
-        for i in range(self.config.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"tabula-serve-{i}", daemon=True
-            )
-            thread.start()
-            self._workers.append(thread)
 
     @classmethod
     def from_cube_file(
@@ -281,19 +260,21 @@ class ServingGateway:
     ) -> List[ServingResponse]:
         """Admit, execute and disposition a batch of requests as one unit.
 
-        The whole batch occupies a single admission-queue slot and runs
-        through :meth:`Tabula.query_many` on one worker under one
+        The batch runs on the caller's thread through
+        :meth:`Tabula.query_many` under one execution slot and one
         snapshot pin. The deadline covers the batch as a whole.
-        Admission is all-or-nothing: a full queue sheds every item
-        (per-item admission would reorder outcomes).
+        Admission is all-or-nothing: when ``workers`` callers execute
+        and ``queue_depth`` more wait, every item is shed (per-item
+        admission would reorder outcomes).
 
-        Never blocks past the deadline: a full queue sheds immediately
-        and an expired budget abandons the slot (the worker
-        double-checks the deadline before doing any work).
+        A full gateway sheds immediately, and a caller waits for a slot
+        no longer than its deadline. Once the batch holds a slot it is
+        not abandoned: the deadline is checked before any work and
+        inside ``Tabula.query``, which cuts the raw-scan rung.
 
         ``geometry`` is one viewport shared by the whole batch, parsed
         *before* admission, so a malformed viewport raises TAB701
-        without occupying a queue slot or polluting the error counters —
+        without occupying a slot or polluting the error counters —
         it is a client mistake, not a serving failure.
 
         Returns one :class:`ServingResponse` per input, in order.
@@ -318,23 +299,36 @@ class ServingGateway:
             )
             if seconds is not None:
                 deadline = Deadline.after(seconds)
-        request = _Request(wheres, deadline, geom)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
+        capacity = self.config.workers + self.config.queue_depth
+        with self._stats_lock:
+            admitted = self._admitted < capacity
+            if admitted:
+                self._admitted += 1
+        if not admitted:
             detail = (
-                f"admission queue full ({self.config.queue_depth} waiting); "
-                f"batch of {len(wheres)} shed"
+                f"admission full ({self.config.workers} executing, "
+                f"{self.config.queue_depth} waiting); batch of {len(wheres)} shed"
             )
             return self._disposed(ServingOutcome.SHED, started, detail, len(wheres))
-        timeout = deadline.remaining() if deadline is not None else None
         try:
-            results, generation = request.future.result(timeout=timeout)
-        except FutureTimeout:
-            detail = "deadline expired while queued or executing"
-            return self._disposed(
-                ServingOutcome.DEADLINE_EXCEEDED, started, detail, len(wheres)
-            )
+            timeout = deadline.remaining() if deadline is not None else None
+            if not self._slots.acquire(timeout=timeout):
+                detail = "deadline expired while waiting for an execution slot"
+                return self._disposed(
+                    ServingOutcome.DEADLINE_EXCEEDED, started, detail, len(wheres)
+                )
+            try:
+                snapshot = self._snapshot  # pin a generation for this request
+                fault_point(FP_EXECUTE)
+                if self.config.min_service_seconds:
+                    time.sleep(self.config.min_service_seconds)
+                if deadline is not None:
+                    deadline.check("before executing")
+                results = snapshot.tabula.query_many(
+                    wheres, deadline=deadline, raw_policy=self.breaker, geometry=geom
+                )
+            finally:
+                self._slots.release()
         except DeadlineExceeded as exc:
             return self._disposed(
                 ServingOutcome.DEADLINE_EXCEEDED, started, str(exc), len(wheres)
@@ -344,7 +338,10 @@ class ServingGateway:
                 self._errors += 1
                 self._requests_total += len(wheres)
             raise
-        return [self._answered(result, generation, started) for result in results]
+        finally:
+            with self._stats_lock:
+                self._admitted -= 1
+        return [self._answered(result, snapshot.generation, started) for result in results]
 
     def _answered(
         self, result: QueryResult, generation: int, started: float
@@ -409,29 +406,6 @@ class ServingGateway:
             )
             for _ in range(count)
         ]
-
-    def _worker_loop(self) -> None:
-        while True:
-            request = self._queue.get()
-            if request is _SENTINEL:
-                return
-            snapshot = self._snapshot  # pin a generation for this request
-            try:
-                fault_point(FP_EXECUTE)
-                if self.config.min_service_seconds:
-                    time.sleep(self.config.min_service_seconds)
-                if request.deadline is not None:
-                    request.deadline.check("while queued for a worker")
-                results = snapshot.tabula.query_many(
-                    request.wheres,
-                    deadline=request.deadline,
-                    raw_policy=self.breaker,
-                    geometry=request.geometry,
-                )
-            except Exception as exc:
-                request.future.set_exception(exc)
-            else:
-                request.future.set_result((results, snapshot.generation))
 
     # ------------------------------------------------------------------
     # Hot reload
@@ -532,18 +506,15 @@ class ServingGateway:
 
     @property
     def ready(self) -> bool:
-        """Readiness: a cube snapshot is loaded and workers are running."""
-        return (
-            not self._closed
-            and self._snapshot is not None
-            and any(t.is_alive() for t in self._workers)
-        )
+        """Readiness: the gateway is open and a cube snapshot is loaded."""
+        return not self._closed and self._snapshot is not None
 
     def stats(self) -> Dict[str, object]:
         """Counters for the ``/stats`` endpoint and the serving bench."""
         with self._stats_lock:
             latencies = sorted(self._latencies)
             counters = dict(self._counters)
+            waiting = max(0, self._admitted - self.config.workers)
             stats: Dict[str, object] = {
                 "requests_total": self._requests_total,
                 "outcomes": counters,
@@ -555,7 +526,7 @@ class ServingGateway:
             {
                 "generation": self._snapshot.generation,
                 "queue_depth": self.config.queue_depth,
-                "queued_now": self._queue.qsize(),
+                "queued_now": waiting,
                 "workers": self.config.workers,
                 "breaker": self.breaker.snapshot(),
                 "latency_seconds": _percentiles(latencies),
@@ -566,15 +537,9 @@ class ServingGateway:
             stats["ingest"] = self.ingestor.stats()
         return stats
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop accepting requests and drain the worker pool."""
-        if self._closed:
-            return
+    def close(self) -> None:
+        """Stop admitting requests; those already admitted finish."""
         self._closed = True
-        for _ in self._workers:
-            self._queue.put(_SENTINEL)
-        for thread in self._workers:
-            thread.join(timeout=timeout)
 
     def __enter__(self) -> "ServingGateway":
         return self

@@ -1,8 +1,9 @@
 """Stdlib HTTP surface for the serving gateway (``repro serve``).
 
 A deliberately dependency-free JSON endpoint on
-:class:`http.server.ThreadingHTTPServer` — one OS thread per connection
-feeding the gateway's *bounded* admission queue, so concurrency is
+:class:`http.server.ThreadingHTTPServer` — one OS thread per connection,
+which runs its own requests through the gateway's *bounded* admission
+(``workers`` executing, ``queue_depth`` waiting), so concurrency is
 capped by the gateway, not the listener.
 
 Routes:
@@ -39,7 +40,7 @@ guarantee transitions are monotone (see
   pipeline is closed or failed. 400/TAB713 when the backend has no
   ingest pipeline attached.
 - ``GET /healthz`` — liveness (200 while the process accepts work).
-- ``GET /readyz`` — readiness (cube snapshot loaded, workers alive);
+- ``GET /readyz`` — readiness (gateway open, cube snapshot loaded);
   with an attached ingest pipeline the body carries its watermarks
   (``durable_seq`` / ``applied_seq``) and health.
 - ``GET /stats`` — counters, breaker state, latency percentiles; plus

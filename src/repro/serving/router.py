@@ -341,7 +341,10 @@ class ShardRouter:
 
         Per-worker failures are collected, not raised: a worker that is
         down reloads anyway when the supervisor restarts it (workers
-        load the cube file fresh on spawn).
+        load the cube file fresh on spawn). A worker that answers and
+        refuses keeps serving its current cube (an ingest-enabled worker
+        always refuses), so the router keeps its fallback and generation
+        too rather than drift from it.
         """
         from repro.core.persistence import PersistenceError, load_cube
 
@@ -352,21 +355,24 @@ class ShardRouter:
                 "explicit path to reload from"
             )
         errors: List[str] = []
+        refused = False
         for shard in self.supervisor.up_shards():
             reply, reason = self._call_shard(shard, {"op": "reload", "path": target})
             if reply is None:
                 errors.append(f"shard {shard}: {reason or _REASON_UNREACHABLE}")
             elif not reply.get("ok"):
+                refused = True
                 errors.append(f"shard {shard}: {reply.get('error')}")
-        try:
-            tabula = load_cube(target, self._fallback.table, registry=self._registry)
-            sliced = shard_transform(self.placement, None)(tabula)
-        except (PersistenceError, TabulaError) as exc:
-            errors.append(f"router fallback: {exc}")
-        else:
-            with self._reload_lock:
-                self._fallback = sliced
-                self._generation += 1
+        if not refused:
+            try:
+                tabula = load_cube(target, self._fallback.table, registry=self._registry)
+                sliced = shard_transform(self.placement, None)(tabula)
+            except (PersistenceError, TabulaError) as exc:
+                errors.append(f"router fallback: {exc}")
+            else:
+                with self._reload_lock:
+                    self._fallback = sliced
+                    self._generation += 1
         return ReloadResult(
             ok=not errors,
             generation=self._generation,

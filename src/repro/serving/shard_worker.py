@@ -236,8 +236,8 @@ class ShardWorker:
                 ],
             }
         if op == "health":
-            # Answered inline, off the gateway's admission queue: an
-            # overloaded-but-alive worker must still pass liveness.
+            # Answered without gateway admission: an overloaded-but-alive
+            # worker must still pass liveness.
             fault_point(FP_HEALTH)
             return {
                 "ok": True,

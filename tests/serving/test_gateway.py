@@ -8,6 +8,7 @@ back with the old cube still serving.
 """
 
 import json
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -94,7 +95,7 @@ class TestLoadShedding:
                 assert wait_until(lambda: handle.hits(FP_EXECUTE) >= 1)
                 for thread in background[1:]:
                     thread.start()
-                assert wait_until(lambda: gateway._queue.qsize() == 2)
+                assert wait_until(lambda: gateway.stats()["queued_now"] == 2)
 
                 response = gateway.query(where)  # 4th request: queue full
                 assert response.outcome is ServingOutcome.SHED
@@ -102,7 +103,7 @@ class TestLoadShedding:
                 assert response.sample is None
                 assert "shed" in response.detail
                 assert response.elapsed_seconds < 0.25  # fast reject
-                assert gateway._queue.qsize() <= 2  # bound held
+                assert gateway.stats()["queued_now"] <= 2  # bound held
 
                 release.set()
                 for thread in background:
@@ -126,7 +127,7 @@ class TestLoadShedding:
                 assert wait_until(lambda: handle.hits(FP_EXECUTE) >= 1)
                 filler = threading.Thread(target=gateway.query, args=(where,))
                 filler.start()
-                assert wait_until(lambda: gateway._queue.qsize() == 1)
+                assert wait_until(lambda: gateway.stats()["queued_now"] == 1)
                 assert gateway.query(where).outcome is ServingOutcome.SHED
                 release.set()
                 blocked.join(timeout=5)
@@ -422,6 +423,72 @@ class TestHotReload:
             gateway.close()
 
 
+class TestCallerThread:
+    def test_request_runs_on_the_callers_thread(self, rides_tiny):
+        """The gateway owns no threads: the caller's thread executes its
+        own request, so no hand-off sits between the caller and the
+        cube lookup."""
+        tabula = build_tabula(rides_tiny)
+        _, where = iceberg_query(tabula)
+        gateway = ServingGateway(tabula, config=ServingConfig(workers=2))
+        try:
+            assert not [
+                t.name for t in threading.enumerate() if t.name.startswith("tabula-serve-")
+            ]
+            executed_on = []
+            spec = SlowIO(FP_EXECUTE, sleep=lambda _: executed_on.append(threading.get_ident()))
+            with inject(spec):
+                response = gateway.query(where)
+            assert response.outcome is ServingOutcome.OK
+            assert executed_on == [threading.get_ident()]
+        finally:
+            gateway.close()
+
+    def test_admission_count_survives_a_caller_stampede(self, rides_tiny):
+        """More callers than cores, with a tiny switch interval, race the
+        admission count; afterwards exactly ``workers + queue_depth``
+        callers are admitted again — a lost update would leave it
+        shedding early or admitting too many."""
+        tabula = build_tabula(rides_tiny)
+        _, where = iceberg_query(tabula)
+        gateway = ServingGateway(tabula, config=ServingConfig(workers=1, queue_depth=2))
+        callers, rounds = 8, 40
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            stampede = [
+                threading.Thread(target=lambda: [gateway.query(where) for _ in range(rounds)])
+                for _ in range(callers)
+            ]
+            for thread in stampede:
+                thread.start()
+            for thread in stampede:
+                thread.join(timeout=30)
+            assert not any(t.is_alive() for t in stampede)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            stats = gateway.stats()
+            assert stats["requests_total"] == callers * rounds
+            assert sum(stats["outcomes"].values()) == callers * rounds
+            assert stats["queued_now"] == 0
+            with stalled_workers(count=1) as (release, handle):
+                held = [threading.Thread(target=gateway.query, args=(where,)) for _ in range(3)]
+                held[0].start()
+                assert wait_until(lambda: handle.hits(FP_EXECUTE) >= 1)
+                for thread in held[1:]:
+                    thread.start()
+                assert wait_until(lambda: gateway.stats()["queued_now"] == 2)
+                assert gateway.query(where).outcome is ServingOutcome.SHED
+                release.set()
+                for thread in held:
+                    thread.join(timeout=10)
+            assert not any(t.is_alive() for t in held)
+            assert gateway.stats()["queued_now"] == 0
+        finally:
+            gateway.close()
+
+
 class TestLifecycle:
     def test_closed_gateway_rejects_queries(self, rides_tiny):
         from repro.errors import TabulaError
@@ -515,9 +582,10 @@ class TestBatchedQueries:
         _, where = iceberg_query(tabula)
         gateway = ServingGateway(tabula, config=ServingConfig(workers=1, queue_depth=2))
         try:
-            with stalled_workers(count=1):
+            with stalled_workers(count=1) as (_, handle):
                 parked = threading.Thread(target=lambda: gateway.query(where))
                 parked.start()
+                assert wait_until(lambda: handle.hits(FP_EXECUTE) >= 1)
                 responses = gateway.query_many([where] * 3, deadline_seconds=0.05)
                 assert all(
                     r.outcome is ServingOutcome.DEADLINE_EXCEEDED for r in responses
@@ -570,7 +638,7 @@ class TestBatchDispositionConsistency:
                 assert wait_until(lambda: handle.hits(FP_EXECUTE) >= 1)
                 filler = threading.Thread(target=gateway.query, args=(where,))
                 filler.start()
-                assert wait_until(lambda: gateway._queue.qsize() == 1)
+                assert wait_until(lambda: gateway.stats()["queued_now"] == 1)
 
                 sampling = threading.Thread(target=sampler)
                 sampling.start()
@@ -605,7 +673,7 @@ class TestBatchDispositionConsistency:
                 assert wait_until(lambda: handle.hits(FP_EXECUTE) >= 1)
                 filler = threading.Thread(target=gateway.query, args=(where,))
                 filler.start()
-                assert wait_until(lambda: gateway._queue.qsize() == 1)
+                assert wait_until(lambda: gateway.stats()["queued_now"] == 1)
                 before = gateway.stats()["requests_total"]
                 responses = gateway.query_many([where] * 5)
                 assert [r.outcome for r in responses] == [ServingOutcome.SHED] * 5

@@ -81,6 +81,30 @@ class TestWorkerReload:
             worker.close()
 
 
+    def test_router_reload_refused_by_ingest_workers_keeps_generation(
+        self, cluster_cube, tmp_path
+    ):
+        """Every ingest-enabled worker refuses a reload, so the router
+        keeps its own fallback and generation instead of drifting
+        ahead of the cube its workers still serve."""
+        cube_path, csv_path, _ = cluster_cube
+        router = boot_cluster(
+            cube_path,
+            csv_path,
+            2,
+            extra_argv=["--ingest-dir", str(tmp_path / "ingest")],
+        )
+        try:
+            generation_before = router.generation
+            result = router.reload()
+            assert not result.ok
+            assert result.generation == generation_before
+            assert router.generation == generation_before
+            assert "shard 0" in result.error and "shard 1" in result.error
+        finally:
+            router.close()
+
+
 class TestKillMidAppend:
     def test_torn_append_replays_and_retry_dedups(self, cluster_cube, tmp_path):
         cube_path, csv_path, tabula = cluster_cube
