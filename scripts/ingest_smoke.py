@@ -15,7 +15,12 @@ subprocess, then runs a sustained soak (default 30s, override with
   restart must replay the orphaned batches (the "recovered" line on
   stdout), the writer's retry of its un-acked batch must land without
   double-applying (content-hashed batch id), and clients must see only
-  typed failures outside the kill window.
+  typed failures outside the kill window;
+- after the drain, a second crash/recover cycle: one already
+  acknowledged batch is re-posted with its original seed (the server
+  deduplicates it, but its WAL logs it again), the server is SIGKILLed
+  once more, and the second restart must replay a WAL holding that
+  batch twice, print its recovery line and serve.
 
 Exit gates: zero untyped client failures, server-side accounting
 coherent, and ``applied_seq`` caught up to ``durable_seq`` (zero lag,
@@ -24,6 +29,7 @@ subprocess inherits it and any sanitizer report on stderr fails the
 smoke. Stdlib only — no test framework.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -70,9 +76,14 @@ def post(url, payload, timeout=10.0):
         return error.code, json.load(error)
 
 
-def wait_ready(base, deadline_seconds=60.0) -> None:
+def wait_ready(base, server, stderr_path, deadline_seconds=60.0) -> None:
     deadline = time.monotonic() + deadline_seconds
     while time.monotonic() < deadline:
+        if server.poll() is not None:
+            fail(
+                f"server exited with {server.returncode} before it was ready:\n"
+                + Path(stderr_path).read_text(errors="replace")
+            )
         try:
             status, body = get(f"{base}/readyz", timeout=2.0)
             if status == 200 and body.get("ok"):
@@ -105,8 +116,38 @@ def start_server(rides, cube, ingest_dir, stdout_path, stderr_path):
         stdout=open(stdout_path, "wb"),
         stderr=open(stderr_path, "wb"),
     )
-    wait_ready(f"http://{HOST}:{PORT}")
+    try:
+        wait_ready(f"http://{HOST}:{PORT}", server, stderr_path)
+    except BaseException:
+        server.kill()
+        server.wait(timeout=30)
+        raise
     return server
+
+
+def recovery_line(stdout_path: Path, who: str) -> str:
+    """The "recovered N batch(es)" line a restart prints before serving."""
+    lines = [
+        line for line in stdout_path.read_text().splitlines() if "recovered" in line
+    ]
+    if not lines:
+        fail(f"{who} printed no recovery line")
+    return lines[0]
+
+
+def wait_drained(base):
+    """Poll /stats until applied_seq catches durable_seq; return it."""
+    deadline = time.monotonic() + 120.0
+    marks = None
+    while time.monotonic() < deadline:
+        status, stats = get(f"{base}/stats")
+        if status != 200:
+            fail(f"stats: {status}")
+        marks = stats["ingest"]["watermarks"]
+        if marks["lag_batches"] == 0 and marks["queued_rows"] == 0:
+            return stats
+        time.sleep(0.2)
+    fail(f"applied never caught durable: {marks}")
 
 
 class Soak:
@@ -138,7 +179,7 @@ class Soak:
                     f"{self.base}/ingest",
                     {"rows": rows, "seed": SEED_BASE + index},
                 )
-            except (urllib.error.URLError, ConnectionError, OSError) as exc:
+            except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
                 # Only the planned SIGKILL may drop a connection; the
                 # writer then retries the SAME batch with the SAME seed
                 # after restart — the exactly-once path under test.
@@ -169,7 +210,7 @@ class Soak:
                 status, body = get(
                     f"{self.base}/query?payment_type=cash&limit=2"
                 )
-            except (urllib.error.URLError, ConnectionError, OSError) as exc:
+            except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
                 if self.kill_window.is_set():
                     time.sleep(0.3)
                     continue
@@ -183,7 +224,7 @@ class Soak:
                 with self.lock:
                     self.queries_ok += 1
                     self.max_staleness = max(self.max_staleness, staleness)
-            elif status == 503 and body.get("outcome") in ("shed", "circuit_open"):
+            elif status == 503 and body.get("outcome") == "shed":
                 time.sleep(0.05)
             else:
                 self.note_untyped("querier", f"untyped reply {status}: {body}")
@@ -254,18 +295,8 @@ def main() -> None:
 
     try:
         # Drain: applied_seq must catch durable_seq.
-        deadline = time.monotonic() + 120.0
-        marks = None
-        while time.monotonic() < deadline:
-            status, stats = get(f"{base}/stats")
-            if status != 200:
-                fail(f"stats: {status}")
-            marks = stats["ingest"]["watermarks"]
-            if marks["lag_batches"] == 0 and marks["queued_rows"] == 0:
-                break
-            time.sleep(0.2)
-        else:
-            fail(f"applied never caught durable: {marks}")
+        stats = wait_drained(base)
+        marks = stats["ingest"]["watermarks"]
 
         if soak.untyped:
             fail("untyped client failures:\n" + "\n".join(soak.untyped))
@@ -288,13 +319,30 @@ def main() -> None:
             fail(f"applied != durable after drain: {marks}")
 
         # The restart must have replayed the WAL before serving.
-        recovery_line = [
-            line
-            for line in (workdir / "server2.stdout").read_text().splitlines()
-            if "recovered" in line
-        ]
-        if not recovery_line:
-            fail("restarted server printed no recovery line")
+        first_recovery = recovery_line(workdir / "server2.stdout", "restarted server")
+
+        # Second cycle: a client retry of an acknowledged batch is
+        # deduplicated but logged again; the next restart must count it
+        # once rather than as new rows.
+        deduplicated = stats["ingest"]["counters"]["deduplicated_batches"]
+        status, body = post(
+            f"{base}/ingest", {"rows": batches[0], "seed": SEED_BASE}
+        )
+        if status != 200 or body.get("outcome") != "accepted":
+            fail(f"re-posted batch not accepted: {status} {body}")
+        counters = wait_drained(base)["ingest"]["counters"]
+        if counters["deduplicated_batches"] != deduplicated + 1:
+            fail(f"re-posted batch was not deduplicated: {counters}")
+        server.send_signal(signal.SIGKILL)
+        server.wait(timeout=30)
+        server = start_server(
+            rides, cube, ingest_dir,
+            workdir / "server3.stdout", workdir / "server3.stderr",
+        )
+        second_recovery = recovery_line(workdir / "server3.stdout", "second restart")
+        status, body = get(f"{base}/query?payment_type=cash&limit=2")
+        if status != 200:
+            fail(f"second restart does not serve: {status} {body}")
 
         print(
             f"ingest soak OK: {soak.accepted} batches accepted "
@@ -302,7 +350,8 @@ def main() -> None:
             f"{soak.killed_errors} in-kill-window drops), "
             f"{soak.queries_ok} concurrent queries "
             f"(max staleness {soak.max_staleness}), "
-            f"crash/recover cycle verified: {recovery_line[0]!r}"
+            f"crash/recover cycles verified: {first_recovery!r}, "
+            f"then after a deduplicated re-post: {second_recovery!r}"
         )
     finally:
         server.terminate()
@@ -312,6 +361,7 @@ def main() -> None:
             server.kill()
     check_sanitizer_log(workdir / "server1.stderr", "pre-crash server")
     check_sanitizer_log(workdir / "server2.stderr", "post-crash server")
+    check_sanitizer_log(workdir / "server3.stderr", "second post-crash server")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ Usage (``python -m repro.cli <command>``):
 - ``info`` — summarize a saved cube;
 - ``cube verify`` — audit a saved cube's checksums and version;
 - ``serve`` — run the concurrent dashboard gateway over HTTP (bounded
-  admission, deadlines, circuit-broken fallback, hot reload;
+  admission, deadlines, hot reload;
   ``--ingest DIR`` adds crash-safe streaming ingest with progressive
   answers);
 - ``ingest`` — stream a CSV into a running ``serve --ingest`` server,
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="serve a saved cube over HTTP with admission control, "
-        "deadlines, a circuit-broken raw fallback and hot reload",
+        "deadlines and hot reload",
     )
     serve.add_argument("--cube", required=True, help="cube file to serve (and reload)")
     serve.add_argument("--table", required=True, help="CSV file with the raw data")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -52,12 +52,6 @@ FP_GLOBAL_SAMPLE = register_fault_point(
 FP_SELECTION_DONE = register_fault_point(
     "init.selection.done", "representatives selected, store not yet assembled"
 )
-FP_RAW_SCAN = register_fault_point(
-    "query.fallback.raw_scan",
-    "before the exact raw-table scan of the fallback ladder (the "
-    "expensive backend rung; SlowIO here simulates a slow data system, "
-    "IOFault a failing one)",
-)
 FP_REBIND_SCAN = register_fault_point(
     "query.rebind.raw_scan",
     "before the single-cell raw scan that re-verifies a surviving "
@@ -81,16 +75,8 @@ class TabulaConfig:
         degraded_rebind: when a cell's sample is missing/corrupt, try to
             re-verify a surviving representative against the cell's raw
             population before downgrading (self-healing; costs one raw
-            scan of the affected cell only).
-        degraded_fallback: which rung follows a failed rebind for a
-            degraded cell — ``"global"`` (cheap, answer is honest but
-            carries no θ-certificate → ``DOWNGRADED``) or ``"raw"``
-            (exact full scan → ``CERTIFIED``, at raw-scan cost).
-        stale_pointer_retries: how many times the query path re-resolves
-            a cell→sample pointer that raced a concurrent maintenance
-            swap before concluding the store is damaged. The default of
-            1 suffices for a single writer; raise it when several
-            maintenance writers share the instance.
+            scan of the affected cell only). A cell the rebind cannot
+            heal answers from the global sample (``DOWNGRADED``).
     """
 
     cubed_attrs: Tuple[str, ...]
@@ -103,23 +89,12 @@ class TabulaConfig:
     pool_size: Optional[int] = 2000
     seed: int = 0
     degraded_rebind: bool = True
-    degraded_fallback: str = "global"
-    stale_pointer_retries: int = 1
 
     def __post_init__(self):
         # ``not > 0`` also rejects NaN, which every ``loss > θ`` iceberg
         # test would read as "no cell is iceberg".
         if not self.threshold > 0:
             raise ValueError(f"threshold θ must be > 0, got {self.threshold}")
-        if self.degraded_fallback not in ("global", "raw"):
-            raise ValueError(
-                f"degraded_fallback must be 'global' or 'raw', got "
-                f"{self.degraded_fallback!r}"
-            )
-        if self.stale_pointer_retries < 0:
-            raise ValueError(
-                f"stale_pointer_retries must be >= 0, got {self.stale_pointer_retries}"
-            )
 
 
 @dataclass
@@ -151,9 +126,10 @@ class GuaranteeStatus(enum.Enum):
     fallback below a certified sample is recorded here.
 
     - ``CERTIFIED`` — ``loss(raw answer, returned sample) <= θ`` holds
-      by construction (materialized sample, the global sample for a
-      certified non-iceberg cell, an exact raw scan, or an exact empty
-      answer for an empty population);
+      by construction (materialized sample, a representative re-verified
+      against the cell's rows, the global sample for a certified
+      non-iceberg cell, or an exact empty answer for an empty
+      population);
     - ``DOWNGRADED`` — the certificate is void but an honest approximate
       answer was still served (e.g. the global sample for an iceberg
       cell whose local sample was lost to corruption);
@@ -185,15 +161,11 @@ class QueryResult:
 
     ``source`` is ``"local"`` (a materialized representative sample),
     ``"global"`` (the global sample), ``"representative"`` (a surviving
-    representative re-verified for a degraded cell), ``"raw"`` (exact
-    raw-scan fallback), ``"empty"`` (the selected population has no
-    rows), or ``"void"`` (degraded cell with every fallback exhausted).
-    ``guarantee`` records whether the θ-certificate held for this
-    answer; ``detail`` carries the degradation reason when it did not.
-    ``raw_blocked`` is set when the raw-scan rung was available but a
-    caller-supplied policy (e.g. the serving gateway's circuit breaker)
-    refused it — the serving layer reports such answers as
-    ``CIRCUIT_OPEN`` rather than plain ``DEGRADED``.
+    representative re-verified for a degraded cell), ``"empty"`` (the
+    selected population has no rows), or ``"void"`` (degraded cell with
+    every fallback exhausted). ``guarantee`` records whether the
+    θ-certificate held for this answer; ``detail`` carries the
+    degradation reason when it did not.
     ``spatial_filtered`` records that a geometry predicate was applied
     to the returned sample (viewport queries); an answer that could not
     honor a requested filter never sets it silently — it raises instead.
@@ -205,7 +177,6 @@ class QueryResult:
     data_system_seconds: float
     guarantee: GuaranteeStatus = GuaranteeStatus.CERTIFIED
     detail: str = ""
-    raw_blocked: bool = False
     spatial_filtered: bool = False
 
 
@@ -214,25 +185,6 @@ _SPATIAL_DETAIL = (
     "spatial filter selects a strict subset of the certified sample; "
     "the θ-certificate does not cover the filtered estimator"
 )
-
-
-@dataclass
-class _Descent:
-    """One degraded cell's trip down the fallback ladder: what every
-    rung needs, and what the rungs that could not answer leave behind."""
-
-    cell: CellKey
-    started: float
-    reason: str
-    deadline: Optional[Deadline]
-    raw_policy: object
-    geometry: Optional[spatial.Geometry]
-    notes: List[str] = field(default_factory=list)
-    raw_blocked: bool = False
-    deadline_cut: bool = False
-
-    def detail(self, lead: str) -> str:
-        return "; ".join([f"{lead}: {self.reason}", *self.notes])
 
 
 def _cartesian_queries(sets: Mapping[str, list]):
@@ -429,7 +381,6 @@ class Tabula:
         self,
         where: Union[Predicate, Mapping[str, object], None],
         deadline: Optional[Deadline] = None,
-        raw_policy=None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> QueryResult:
         """Answer one dashboard interaction from the materialized cube.
@@ -438,18 +389,13 @@ class Tabula:
             where: either a mapping ``{attr: value}`` over (a subset of)
                 the cubed attributes, or an equality-conjunction
                 predicate, or ``None`` for the whole table.
-            deadline: optional request budget. The cheap rungs (sample /
-                global lookups) always run; the expensive raw-scan rung
-                is cut off once the budget is spent — the answer then
-                falls to a cheaper rung with an honest downgrade, or the
-                query raises :class:`~repro.errors.DeadlineExceeded`
-                when no rung is left.
-            raw_policy: optional guard for the raw-table fallback rung —
-                any object with ``allow() -> bool``,
-                ``record_success()`` and ``record_failure()`` (the
-                serving gateway passes its circuit breaker). When
-                ``allow()`` is false the raw rung is skipped and the
-                result carries ``raw_blocked=True``.
+            deadline: optional request budget, checked before the
+                cube lookup. The cheap rungs (sample / global lookups)
+                always run; a degraded cell's rebind scan is skipped once
+                the budget is spent — the answer then falls to the global
+                sample with an honest downgrade, or the query raises
+                :class:`~repro.errors.DeadlineExceeded` when no rung is
+                left.
             geometry: optional spatial predicate (viewport) applied to
                 the answer rows — a :class:`~repro.core.spatial.Geometry`,
                 a bbox string ``"xmin,ymin,xmax,ymax"`` or a geometry
@@ -478,7 +424,6 @@ class Tabula:
                     return self.query_union(
                         _cartesian_queries(sets),
                         deadline=deadline,
-                        raw_policy=raw_policy,
                         geometry=geom,
                     )
         started = time.perf_counter()
@@ -489,35 +434,29 @@ class Tabula:
         if sample_id is not None:
             generation = store.generation
             sample = store.sample_for_id(sample_id)
-            retries = self.config.stale_pointer_retries
-            while sample is None and retries > 0:
+            if sample is None:
                 # Concurrent maintenance may have swapped the cell's
                 # sample between the two reads (pointer updated, old
-                # sample collected). Re-resolve before concluding the
-                # store is damaged: a cell with a valid pre-swap sample
-                # must never degrade because of a racing append. The
-                # store's generation counter bounds the retries — an
+                # sample collected). Re-resolve once before concluding
+                # the store is damaged: a cell with a valid pre-swap
+                # sample must never degrade because of a racing append
+                # (maintenance has one writer, the write lock). An
                 # unchanged pointer in an unchanged generation is
-                # genuinely dangling, not racing.
-                retries -= 1
+                # genuinely dangling, not racing; a vanished pointer
+                # (demoted/degraded mid-read) leaves it to the ladder.
                 refreshed = store.sample_id_of(cell)
-                refreshed_generation = store.generation
-                if refreshed is None:
-                    break  # demoted/degraded mid-read; the ladder decides
-                if refreshed == sample_id and refreshed_generation == generation:
-                    break
-                generation = refreshed_generation
-                sample_id = refreshed
-                sample = store.sample_for_id(refreshed)
+                if refreshed is not None and (
+                    refreshed != sample_id or store.generation != generation
+                ):
+                    sample_id = refreshed
+                    sample = store.sample_for_id(refreshed)
             if sample is not None:
                 return self._answer(cell, started, "local", sample, geom)
             # Dangling sample id (corruption survivor): degrade rather
             # than raise — the dashboard still gets an honest answer.
             store.mark_degraded(cell, f"sample {sample_id} is missing from the store")
         if store.is_degraded(cell):
-            return self._degraded_answer(
-                cell, started, deadline=deadline, raw_policy=raw_policy, geometry=geom
-            )
+            return self._degraded_answer(cell, started, deadline=deadline, geometry=geom)
         if store.is_known_cell(cell):
             return self._answer(cell, started, "global", store.global_sample.table, geom)
         return self._answer(cell, started, "empty", Table.empty_like(self.table), geom)
@@ -526,7 +465,6 @@ class Tabula:
         self,
         wheres: Sequence[Union[Predicate, Mapping[str, object], None]],
         deadline: Optional[Deadline] = None,
-        raw_policy=None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> List[QueryResult]:
         """Answer a batch of dashboard interactions (a viewport's cells).
@@ -541,7 +479,7 @@ class Tabula:
         self._require_store()
         geom = self._parse_viewport(geometry) if geometry is not None else None
         return [
-            self.query(where, deadline=deadline, raw_policy=raw_policy, geometry=geom)
+            self.query(where, deadline=deadline, geometry=geom)
             for where in wheres
         ]
 
@@ -554,13 +492,11 @@ class Tabula:
         geometry: Optional[spatial.Geometry],
         guarantee: GuaranteeStatus = GuaranteeStatus.CERTIFIED,
         detail: str = "",
-        raw_blocked: bool = False,
     ) -> QueryResult:
         """The one place a rung's ``(sample, source)`` becomes a result.
 
         With a ``geometry`` the sample is filtered here. A strict subset
-        voids a certified sample's θ-certificate; the raw rung keeps it —
-        an exact filter of an exact answer is still exact.
+        voids a certified sample's θ-certificate.
         """
         if geometry is not None and source not in ("empty", "void"):
             store = self._require_store()
@@ -568,7 +504,7 @@ class Tabula:
                 sample, covers = store.filtered_global(geometry)
             else:
                 sample, covers = store.spatial_filter(sample, geometry)
-            if not covers and source != "raw" and guarantee is GuaranteeStatus.CERTIFIED:
+            if not covers and guarantee is GuaranteeStatus.CERTIFIED:
                 guarantee = GuaranteeStatus.DOWNGRADED
                 detail = f"{detail}; {_SPATIAL_DETAIL}" if detail else _SPATIAL_DETAIL
         return QueryResult(
@@ -578,7 +514,6 @@ class Tabula:
             data_system_seconds=time.perf_counter() - started,
             guarantee=guarantee,
             detail=detail,
-            raw_blocked=raw_blocked,
             spatial_filtered=geometry is not None,
         )
 
@@ -587,45 +522,60 @@ class Tabula:
         cell: CellKey,
         started: float,
         deadline: Optional[Deadline] = None,
-        raw_policy=None,
         geometry: Optional[spatial.Geometry] = None,
     ) -> QueryResult:
         """The fallback ladder for a cell whose certified sample is gone.
 
-        local sample → (re-verified) representative sample → global
-        sample → raw scan, with :class:`GuaranteeStatus` recording how
-        far the answer fell. The rungs are an ordered list chosen by the
-        configuration; each either answers or leaves a note on the
-        :class:`_Descent` and lets the next one try. Raw-backend failures
-        (``OSError``) are tolerated — the ladder records them and keeps
-        descending — and the expensive raw rungs are cut off by an
-        expired ``deadline`` or a denying ``raw_policy``. The ladder only
-        raises when the deadline (not the data) is what prevented an
-        answer; otherwise the worst outcome is an explicit ``VOID``.
+        Rebind (when ``degraded_rebind``) → global sample → ``VOID``,
+        with :class:`GuaranteeStatus` recording how far the answer fell.
+        The rebind re-verifies a surviving representative against the
+        cell's raw rows and answers CERTIFIED; it is skipped once the
+        ``deadline`` has expired, and a raw-backend failure (``OSError``)
+        is noted in the detail rather than raised. The global sample
+        answers honestly but ``DOWNGRADED``. The ladder only raises when
+        the deadline (not the data) is what prevented an answer;
+        otherwise the worst outcome is an explicit ``VOID``.
         """
-        cfg = self.config
         store = self._require_store()
-        trip = _Descent(
-            cell,
-            started,
-            store.degraded_reason(cell) or "sample unavailable",
-            deadline,
-            raw_policy,
-            geometry,
-        )
-        rungs = [self._rebind_rung] if cfg.degraded_rebind else []
-        if cfg.degraded_fallback == "global":
-            rungs += [self._global_rung, self._raw_rung]
-        else:
-            rungs += [self._raw_rung, self._global_rung]
-        for rung in rungs:
-            result = rung(store, trip)
-            if result is not None:
-                return result
-        if trip.deadline_cut:
+        reason = store.degraded_reason(cell) or "sample unavailable"
+        notes: List[str] = []
+        deadline_cut = False
+        if self.config.degraded_rebind:
+            if deadline is not None and deadline.expired:
+                deadline_cut = True
+                notes.append("rebind scan skipped: deadline expired")
+            else:
+                try:
+                    fault_point(FP_REBIND_SCAN)
+                    raw_indices = self._cell_row_indices(cell)
+                except OSError as exc:
+                    notes.append(f"rebind scan failed: {exc}")
+                else:
+                    rebound = self._rebind(store, cell, raw_indices)
+                    if rebound is not None:
+                        sid, sample = rebound
+                        return self._answer(
+                            cell,
+                            started,
+                            "representative",
+                            sample,
+                            geometry,
+                            detail=f"rebound to re-verified sample {sid} after: {reason}",
+                        )
+        if store.global_sample.size:
+            return self._answer(
+                cell,
+                started,
+                "global",
+                store.global_sample.table,
+                geometry,
+                guarantee=GuaranteeStatus.DOWNGRADED,
+                detail="; ".join([f"θ-certificate void for this cell: {reason}", *notes]),
+            )
+        if deadline_cut:
             raise DeadlineExceeded(
                 f"deadline expired before any fallback rung could answer "
-                f"cell {cell!r} ({trip.reason})",
+                f"cell {cell!r} ({reason})",
                 elapsed=time.perf_counter() - started,
             )
         return self._answer(
@@ -635,98 +585,28 @@ class Tabula:
             Table.empty_like(self.table),
             geometry,
             guarantee=GuaranteeStatus.VOID,
-            detail=trip.detail("no fallback could answer this cell"),
-            raw_blocked=trip.raw_blocked,
+            detail="; ".join([f"no fallback could answer this cell: {reason}", *notes]),
         )
 
-    def _rebind_rung(self, store: SamplingCubeStore, trip: "_Descent") -> Optional[QueryResult]:
-        """Re-verify a surviving representative against the cell's raw rows."""
+    def _rebind(
+        self, store: SamplingCubeStore, cell: CellKey, raw_indices: np.ndarray
+    ) -> Optional[Tuple[int, Table]]:
+        """Point ``cell`` at the first stored sample that is within θ of
+        its raw rows (``raw_indices``); ``None`` when none is."""
         cfg = self.config
-        if trip.deadline is not None and trip.deadline.expired:
-            trip.deadline_cut = True
-            trip.notes.append("rebind scan skipped: deadline expired")
-            return None
-        try:
-            fault_point(FP_REBIND_SCAN)
-            raw_indices = self._cell_row_indices(trip.cell)
-        except OSError as exc:
-            trip.notes.append(f"rebind scan failed: {exc}")
-            return None
         if not raw_indices.size:
             return None
         cell_values = cfg.loss.extract(self.table.take(raw_indices))
         for sid, sample in store.sample_table_entries():
             if cfg.loss.loss(cell_values, cfg.loss.extract(sample)) <= cfg.threshold:
-                store.reassign(trip.cell, sid)
-                return self._answer(
-                    trip.cell,
-                    trip.started,
-                    "representative",
-                    sample,
-                    trip.geometry,
-                    detail=f"rebound to re-verified sample {sid} after: {trip.reason}",
-                )
+                store.reassign(cell, sid)
+                return sid, sample
         return None
-
-    def _global_rung(self, store: SamplingCubeStore, trip: "_Descent") -> Optional[QueryResult]:
-        """The global sample, honest but without the θ-certificate."""
-        if store.global_sample.size == 0:
-            return None
-        return self._answer(
-            trip.cell,
-            trip.started,
-            "global",
-            store.global_sample.table,
-            trip.geometry,
-            guarantee=GuaranteeStatus.DOWNGRADED,
-            detail=trip.detail("θ-certificate void for this cell"),
-            raw_blocked=trip.raw_blocked,
-        )
-
-    def _raw_rung(self, store: SamplingCubeStore, trip: "_Descent") -> Optional[QueryResult]:
-        """The exact raw-table scan, guarded by the policy and the deadline."""
-        if not self.table.num_rows:
-            return None
-        policy, deadline = trip.raw_policy, trip.deadline
-        if policy is not None and not policy.allow():
-            trip.raw_blocked = True
-            trip.notes.append("raw-scan fallback blocked by policy (circuit open)")
-            return None
-        if deadline is not None and deadline.expired:
-            trip.deadline_cut = True
-            trip.notes.append("raw-scan fallback skipped: deadline expired")
-            return None
-        try:
-            fault_point(FP_RAW_SCAN)
-            # SlowIO lands on the fault point above: re-check the
-            # budget so a stalled backend cuts the scan off
-            # rather than serving a too-late exact answer.
-            if deadline is not None and deadline.expired:
-                trip.deadline_cut = True
-                trip.notes.append("raw-scan fallback cut off mid-flight: deadline expired")
-                return None
-            raw = self.table.take(self._cell_row_indices(trip.cell))
-        except OSError as exc:
-            if policy is not None:
-                policy.record_failure()
-            trip.notes.append(f"raw-scan fallback failed: {exc}")
-            return None
-        if policy is not None:
-            policy.record_success()
-        return self._answer(
-            trip.cell,
-            trip.started,
-            "raw",
-            raw,
-            trip.geometry,
-            detail=f"exact raw-scan fallback after: {trip.reason}",
-        )
 
     def query_union(
         self,
         cell_queries,
         deadline: Optional[Deadline] = None,
-        raw_policy=None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> QueryResult:
         """Answer a query covering several cube cells at once (extension).
@@ -751,16 +631,12 @@ class Tabula:
         cells = []
         statuses = []
         details = []
-        raw_blocked = False
         spatial_filtered = False
         for query in cell_queries:
-            result = self.query(
-                query, deadline=deadline, raw_policy=raw_policy, geometry=geometry
-            )
+            result = self.query(query, deadline=deadline, geometry=geometry)
             spatial_filtered = spatial_filtered or result.spatial_filtered
             cells.append(result.cell)
             statuses.append(result.guarantee)
-            raw_blocked = raw_blocked or result.raw_blocked
             if result.detail:
                 details.append(result.detail)
             if result.source not in ("empty", "void"):
@@ -780,7 +656,6 @@ class Tabula:
             data_system_seconds=time.perf_counter() - started,
             guarantee=GuaranteeStatus.worst(statuses),
             detail="; ".join(details),
-            raw_blocked=raw_blocked,
             spatial_filtered=spatial_filtered,
         )
 

@@ -108,9 +108,10 @@ class SamplingError(TabulaError):
 class DeadlineExceeded(TabulaError):
     """A request's deadline expired before an answer could be produced.
 
-    Raised by the query path when the remaining budget cannot cover the
-    next fallback rung (most importantly the raw-table scan), and by the
-    serving gateway when a queued request times out. ``elapsed`` is the
+    Raised by the query path when the budget is spent before the cube
+    lookup, or before a degraded cell's rebind scan when no other rung
+    can answer, and by the serving gateway when a waiting request times
+    out. ``elapsed`` is the
     seconds the request had been running when the deadline cut it off.
     """
 

@@ -114,16 +114,12 @@ class IngestConfig:
             commit window. Submissions arriving within one window share
             one fsync.
         retry_after_seconds: hint carried by ``BACKPRESSURE`` results.
-        maintain_delay_seconds: artificial pause before each apply.
-            Zero in production; tests and the progressive-query demos
-            raise it to create a deterministically lagging maintainer.
     """
 
     max_queued_rows: int = 8192
     max_queued_batches: int = 64
     flush_interval_seconds: float = 0.02
     retry_after_seconds: float = 0.05
-    maintain_delay_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_queued_rows < 1:
@@ -140,7 +136,7 @@ class IngestRecovery:
 
     replayed_plans: int      # journaled-but-uncommitted plans finished
     reapplied_batches: int   # durable WAL batches applied fresh
-    skipped_batches: int     # WAL batches already committed (dedup)
+    skipped_batches: int     # WAL records already applied, or repeating a batch id
     durable_seq: int
     dropped_wal_lines: int   # torn tail truncated from the WAL
 
@@ -173,7 +169,11 @@ def recover_ingest(
       through the normal journaled ``append_rows``.
 
     The content-hashed batch id ties all three cases together: no batch
-    is lost, none is applied twice.
+    is lost, none is applied twice. A record whose batch id already
+    appeared earlier in the walk — a client retry that the live
+    maintainer deduplicated, but that the WAL logged again — counts as
+    skipped and does not move the boundary: the ladder has one rung per
+    distinct batch.
 
     Raises:
         JournalCorruptionError: interior damage (TAB509) in either log;
@@ -189,20 +189,23 @@ def recover_ingest(
     journal.check_readable()
     result = wal.read_batches()
     payloads = journal.plan_payloads()
+    distinct: Dict[str, WalBatch] = {}
+    for batch in result.batches:
+        distinct.setdefault(batch_id_for(batch.seed, batch.rows), batch)
     base_rows = result.base_rows
     if base_rows is None:
         base_rows = tabula.table.num_rows - sum(
-            b.rows.num_rows for b in result.batches
+            b.rows.num_rows for b in distinct.values()
         )
         if base_rows < 0:
             base_rows = tabula.table.num_rows
-    replayed = reapplied = skipped = 0
+    replayed = reapplied = 0
+    skipped = len(result.batches) - len(distinct)
     with tabula.write_lock:
         expected = base_rows
-        for batch in result.batches:
+        for batch_id, batch in distinct.items():
             boundary_after = expected + batch.rows.num_rows
             rows_now = tabula.table.num_rows
-            batch_id = batch_id_for(batch.seed, batch.rows)
             committed = journal.is_committed(batch_id)
             payload = payloads.get(batch_id)
             if rows_now >= boundary_after:
@@ -472,8 +475,6 @@ class StreamIngestor:
                     if stop:
                         return
                     continue
-                if self.config.maintain_delay_seconds:
-                    time.sleep(self.config.maintain_delay_seconds)
                 fault_point(FP_APPLY_START)
                 # Exactly-once: a batch whose content-hashed id is
                 # already in the committed ledger (client retry after a

@@ -3,7 +3,7 @@
 A :class:`Deadline` is an absolute point on a monotonic clock. It is
 created once at the edge (the serving gateway, a CLI flag, a test) and
 threaded *down* through ``Tabula.query`` so every expensive step — most
-importantly the raw-table fallback rung — can ask "is there budget
+importantly a degraded cell's rebind scan — can ask "is there budget
 left?" before starting work it cannot finish in time.
 
 The clock is injectable so tests can drive time deterministically

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class InjectedCrash(BaseException):
@@ -150,24 +151,26 @@ class _Armed:
         self.hits = 0
         self.tripped = False
 
-    def visit(self, name: str) -> None:
-        if name != self.spec.point:
-            return
+    def count(self) -> Optional[int]:
+        """Count one hit; return its number when this hit trips the fault."""
         self.hits += 1
         if isinstance(self.spec, Hang):
-            if self.hits >= self.spec.at:
-                self.tripped = True
-                self.spec.sleep(self.spec.seconds)
-            return
-        if self.tripped or self.hits != self.spec.at:
-            return
+            if self.hits < self.spec.at:
+                return None
+        elif self.tripped or self.hits != self.spec.at:
+            return None
         self.tripped = True
-        if isinstance(self.spec, CrashPoint):
-            raise InjectedCrash(name, self.hits)
-        if isinstance(self.spec, IOFault):
-            raise InjectedIOError(name, self.spec.message)
-        if isinstance(self.spec, SlowIO):
-            self.spec.sleep(self.spec.seconds)
+        return self.hits
+
+    def act(self, hit: int) -> None:
+        """Do what the fault does at a tripping hit: raise, sleep or stall."""
+        spec = self.spec
+        if isinstance(spec, CrashPoint):
+            raise InjectedCrash(spec.point, hit)
+        if isinstance(spec, IOFault):
+            raise InjectedIOError(spec.point, spec.message)
+        if isinstance(spec, (SlowIO, Hang)):
+            spec.sleep(spec.seconds)
 
 
 class InjectionHandle:
@@ -177,8 +180,12 @@ class InjectionHandle:
         self._armed = armed
 
     def hits(self, point: str) -> int:
-        """Total hits observed for ``point`` inside the block."""
-        return sum(a.hits for a in self._armed if a.spec.point == point)
+        """How many times ``point`` was hit inside the block.
+
+        Every spec armed on a point counts every hit, so any one of
+        them holds the number (0 when nothing is armed there).
+        """
+        return max((a.hits for a in self._armed if a.spec.point == point), default=0)
 
     def tripped(self, point: str) -> bool:
         return any(a.tripped for a in self._armed if a.spec.point == point)
@@ -188,10 +195,19 @@ class InjectionHandle:
 
 
 _ACTIVE: List[_Armed] = []
+# Hit counting is a read-modify-write shared by every thread that
+# reaches a point; the faults act outside the lock.
+_COUNT_LOCK = threading.Lock()
 
 
 def fault_point(name: str) -> None:
-    """Hit a named fault point (no-op unless a matching fault is armed)."""
+    """Hit a named fault point (no-op unless a matching fault is armed).
+
+    The hit is counted on every armed spec before any of them sleeps,
+    raises or stalls, so a spec that parks this caller cannot hide the
+    hit from the specs armed after it (``SlowIO(at=1)`` and
+    ``SlowIO(at=2)`` park the first two concurrent callers).
+    """
     if not _ACTIVE:
         return
     if name not in _REGISTRY:
@@ -199,8 +215,15 @@ def fault_point(name: str) -> None:
             f"fault_point({name!r}) hit but the point was never registered; "
             "call register_fault_point at module import"
         )
-    for armed in tuple(_ACTIVE):
-        armed.visit(name)
+    trips = []
+    with _COUNT_LOCK:
+        for armed in tuple(_ACTIVE):
+            if armed.spec.point == name:
+                hit = armed.count()
+                if hit is not None:
+                    trips.append((armed, hit))
+    for armed, hit in trips:
+        armed.act(hit)
 
 
 @contextmanager

@@ -2,8 +2,7 @@
 
 The paper's middleware answers one query at a time, in process. This
 package is the production rim around it — admission control with load
-shedding, per-request deadlines, a circuit breaker on the raw-table
-fallback, hot cube reload — exposed as a Python API
+shedding, per-request deadlines, hot cube reload — exposed as a Python API
 (:class:`ServingGateway`), a stdlib HTTP endpoint
 (:func:`~repro.serving.http.serve_http`) and the ``repro serve`` CLI.
 
@@ -12,7 +11,7 @@ tier* (``repro serve --shards N``): :class:`Placement` consistent-hashes
 cube cells across N supervised shard-worker processes
 (:class:`ShardSupervisor` handles death/hang detection, exponential
 backoff restarts and crash-loop parking), and :class:`ShardRouter`
-fronts them with per-shard circuit breakers, retries, hedging, replica
+fronts them with per-shard circuit breakers, retries, replica
 failover and a final degradation rung — the locally replicated global
 sample — so a worker kill yields ``DOWNGRADED`` answers, never a 500.
 """

@@ -1,13 +1,13 @@
-"""Circuit breaker guarding the raw-table fallback rung.
+"""Circuit breaker guarding a shard worker behind the router.
 
-The raw scan is the one query rung whose cost is proportional to the
-backend, not the cube: a slow or failing data system turns every
-degraded-cell query into a stalled worker. The breaker watches raw-scan
-outcomes and, once the recent failure rate crosses a threshold, *opens*
-— the gateway then answers degraded cells from the sample rungs
-(``DOWNGRADED`` + ``CIRCUIT_OPEN``) instead of queueing more doomed
-scans. After a cooldown it *half-opens* and lets a single probe
-through; the probe's outcome decides between closing and re-opening.
+A dead or wedged shard worker turns every request routed to it into a
+stalled caller. The router keeps one breaker per shard: it watches the
+shard's RPC outcomes and, once the recent failure rate crosses a
+threshold, *opens* — the router then answers that shard's cells from
+a replica or the local global sample (``DOWNGRADED`` +
+``CIRCUIT_OPEN``) instead of sending more doomed calls. After a
+cooldown it *half-opens* and lets a single probe through; the probe's
+outcome decides between closing and re-opening.
 
 ```
             failure rate ≥ threshold
@@ -18,8 +18,8 @@ through; the probe's outcome decides between closing and re-opening.
 ```
 
 The clock is injectable so tests drive the cooldown deterministically;
-all state transitions happen under a lock (the gateway shares one
-breaker across every caller thread).
+all state transitions happen under a lock (a shard's breaker is shared
+by every caller thread of the router).
 """
 
 from __future__ import annotations

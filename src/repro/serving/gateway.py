@@ -13,13 +13,10 @@ semantics:
   throughput, never memory);
 - **deadlines** — each request carries a budget that bounds how long
   its caller waits for an execution slot and then propagates into
-  ``Tabula.query``, whose own checks cut off the expensive raw-scan
-  rung. A request that has started executing is not abandoned at the
-  deadline: it finishes on its caller's thread, bounded by those checks;
-- **circuit breaker** — the raw-table fallback is guarded by a shared
-  :class:`~repro.serving.breaker.CircuitBreaker`: when the backend
-  misbehaves, degraded cells are answered from the sample rungs with
-  ``CIRCUIT_OPEN`` rather than stalling the whole pool;
+  ``Tabula.query``, whose own checks skip a degraded cell's rebind
+  scan once the budget is spent. A request that has started executing
+  is not abandoned at the deadline: it finishes on its caller's
+  thread, bounded by those checks;
 - **hot reload** — the cube is held as an immutable generation-stamped
   snapshot; ``reload()`` reads and audits a new cube file once
   (``load_cube``) and atomically swaps the snapshot only on success, so
@@ -38,7 +35,7 @@ import enum
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Union
 
@@ -49,7 +46,6 @@ from repro.errors import DeadlineExceeded, TabulaError
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import fault_point, register_fault_point
 from repro.sanitizer import create_lock
-from repro.serving.breaker import BreakerConfig, CircuitBreaker
 
 WhereClause = Mapping[str, object]
 
@@ -73,8 +69,9 @@ class ServingOutcome(enum.Enum):
     - ``SHED`` — fast-rejected at admission: every slot was busy and
       ``queue_depth`` callers were already waiting;
     - ``DEADLINE_EXCEEDED`` — the budget expired before an answer;
-    - ``CIRCUIT_OPEN`` — answered from the sample rungs because the
-      breaker refused the raw-table fallback.
+    - ``CIRCUIT_OPEN`` — (sharded tier only) answered from a replica or
+      the router's global sample because the owning shard's breaker is
+      open (:class:`~repro.serving.router.ShardRouter`).
     """
 
     OK = "ok"
@@ -94,7 +91,6 @@ class ServingConfig:
             past that, requests shed.
         default_deadline_seconds: budget applied to requests that do not
             carry their own (``None`` = unlimited).
-        breaker: circuit-breaker parameters for the raw-scan fallback.
         stats_window: ring-buffer size for latency percentiles.
         min_service_seconds: artificial per-request service-time floor.
             Zero in production; overload benchmarks and tests raise it
@@ -104,7 +100,6 @@ class ServingConfig:
     workers: int = 4
     queue_depth: int = 32
     default_deadline_seconds: Optional[float] = None
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
     stats_window: int = 1024
     min_service_seconds: float = 0.0
 
@@ -188,7 +183,6 @@ class ServingGateway:
         transform: Optional[Callable[[Tabula], Tabula]] = None,
     ) -> None:
         self.config = config or ServingConfig()
-        self.breaker = CircuitBreaker(self.config.breaker)
         self._registry = registry
         # Applied to every (re)loaded cube before it starts serving —
         # the sharded tier slices the store to this worker's cells here
@@ -270,7 +264,8 @@ class ServingGateway:
         A full gateway sheds immediately, and a caller waits for a slot
         no longer than its deadline. Once the batch holds a slot it is
         not abandoned: the deadline is checked before any work and
-        inside ``Tabula.query``, which cuts the raw-scan rung.
+        inside ``Tabula.query``, which skips a degraded cell's rebind
+        scan once the budget is spent.
 
         ``geometry`` is one viewport shared by the whole batch, parsed
         *before* admission, so a malformed viewport raises TAB701
@@ -324,9 +319,7 @@ class ServingGateway:
                     time.sleep(self.config.min_service_seconds)
                 if deadline is not None:
                     deadline.check("before executing")
-                results = snapshot.tabula.query_many(
-                    wheres, deadline=deadline, raw_policy=self.breaker, geometry=geom
-                )
+                results = snapshot.tabula.query_many(wheres, deadline=deadline, geometry=geom)
             finally:
                 self._slots.release()
         except DeadlineExceeded as exc:
@@ -346,12 +339,11 @@ class ServingGateway:
     def _answered(
         self, result: QueryResult, generation: int, started: float
     ) -> ServingResponse:
-        if result.guarantee is GuaranteeStatus.CERTIFIED:
-            outcome = ServingOutcome.OK
-        elif result.raw_blocked:
-            outcome = ServingOutcome.CIRCUIT_OPEN
-        else:
-            outcome = ServingOutcome.DEGRADED
+        outcome = (
+            ServingOutcome.OK
+            if result.guarantee is GuaranteeStatus.CERTIFIED
+            else ServingOutcome.DEGRADED
+        )
         elapsed = time.perf_counter() - started
         # Stamped before taking the stats lock: staleness_batches()
         # takes the ingestor's own state lock and must not nest inside
@@ -528,7 +520,6 @@ class ServingGateway:
                 "queue_depth": self.config.queue_depth,
                 "queued_now": waiting,
                 "workers": self.config.workers,
-                "breaker": self.breaker.snapshot(),
                 "latency_seconds": _percentiles(latencies),
             }
         )

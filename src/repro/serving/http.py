@@ -43,17 +43,18 @@ guarantee transitions are monotone (see
 - ``GET /readyz`` — readiness (gateway open, cube snapshot loaded);
   with an attached ingest pipeline the body carries its watermarks
   (``durable_seq`` / ``applied_seq``) and health.
-- ``GET /stats`` — counters, breaker state, latency percentiles; plus
+- ``GET /stats`` — counters, latency percentiles; plus
   the ``ingest`` block (watermarks, queue bounds, counters) when a
   pipeline is attached.
 - ``POST /reload`` — hot-swap the cube file (body ``{"path": ...}``
   optional); a corrupt replacement rolls back and reports 409, as does
   any reload while an ingest pipeline is attached.
 
-Status mapping: answered requests (``OK`` / ``DEGRADED`` /
-``CIRCUIT_OPEN``) are 200 — degradation is carried in the body, the
-dashboard still renders; ``SHED`` is 503 with ``Retry-After``;
-``DEADLINE_EXCEEDED`` is 504; malformed requests are 400.
+Status mapping: answered requests (``OK`` / ``DEGRADED``, and the
+sharded router's ``CIRCUIT_OPEN``) are 200 — degradation is carried in
+the body, the dashboard still renders; ``SHED`` is 503 with
+``Retry-After``; ``DEADLINE_EXCEEDED`` is 504; malformed requests are
+400.
 """
 
 from __future__ import annotations

@@ -104,15 +104,12 @@ def shard_transform(
     """Post-load hook slicing a freshly loaded cube to one shard.
 
     Applied by :class:`~repro.serving.gateway.ServingGateway` right
-    after every (re)load, so hot reload re-slices too.  Two policy pins
-    ride along with the slice:
-
-    - ``degraded_rebind=False`` — a shard must never raw-scan a cell it
-      does not own back to CERTIFIED; re-certification happens only on
-      the owning worker.
-    - ``degraded_fallback="global"`` — a foreign cell answers from the
-      replicated global sample (DOWNGRADED) instead of a raw scan, so a
-      failover answer stays cheap and honestly labelled.
+    after every (re)load, so hot reload re-slices too.  One policy pin
+    rides along with the slice: ``degraded_rebind=False`` — a shard must
+    never raw-scan a cell it does not own back to CERTIFIED;
+    re-certification happens only on the owning worker. A foreign cell
+    therefore answers from the replicated global sample (DOWNGRADED), so
+    a failover answer stays cheap and honestly labelled.
 
     ``shard_id=None`` yields the *router's* slice: it owns nothing, so
     every iceberg cell degrades to the global sample — the universal
@@ -122,7 +119,6 @@ def shard_transform(
     def apply(tabula: Tabula) -> Tabula:
         sliced = tabula.store.shard_slice(placement.shard_of, shard_id)
         tabula.config.degraded_rebind = False
-        tabula.config.degraded_fallback = "global"
         tabula.attach_store(sliced)
         return tabula
 

@@ -245,7 +245,6 @@ class ShardWorker:
                 "pid": os.getpid(),
                 "ready": self._gateway.ready,
                 "generation": self._gateway.generation,
-                "breaker": self._gateway.breaker.snapshot(),
             }
         if op == "ingest":
             fault_point(FP_HANDLE)

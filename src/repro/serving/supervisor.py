@@ -239,7 +239,6 @@ class _Handle:
     recent_restarts: List[float] = field(default_factory=list)
     last_error: str = ""
     generation: int = 0
-    breaker: Dict[str, Any] = field(default_factory=dict)
 
 
 class ShardSupervisor:
@@ -389,9 +388,6 @@ class ShardSupervisor:
             if reply is not None:
                 handle.probe_misses = 0
                 handle.generation = int(reply.get("generation", handle.generation))
-                breaker = reply.get("breaker")
-                if isinstance(breaker, dict):
-                    handle.breaker = breaker
                 return
             handle.probe_misses += 1
             misses = handle.probe_misses
@@ -477,7 +473,6 @@ class ShardSupervisor:
                     "restarts_total": handle.restarts_total,
                     "probe_misses": handle.probe_misses,
                     "generation": handle.generation,
-                    "breaker": dict(handle.breaker),
                     "last_error": handle.last_error,
                 }
                 for shard, handle in self._handles.items()

@@ -106,7 +106,6 @@ class TestShardTransformQueries:
         tabula = build_tabula(rides_tiny)
         shard_transform(Placement(2), 0)(tabula)
         assert tabula.config.degraded_rebind is False
-        assert tabula.config.degraded_fallback == "global"
 
     def test_router_slice_downgrades_every_iceberg_cell(self, rides_tiny):
         tabula = build_tabula(rides_tiny)

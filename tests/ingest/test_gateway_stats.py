@@ -20,6 +20,8 @@ from repro.core.persistence import save_cube
 from repro.core.tabula import Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
 from repro.ingest import IngestConfig, IngestOutcome, StreamIngestor
+from repro.ingest.stream import FP_APPLY_START
+from repro.resilience.faults import Hang, inject
 from repro.serving import ServingConfig, ServingGateway
 
 ATTRS = ("passenger_count", "payment_type")
@@ -53,23 +55,24 @@ def served(rides_tiny, tmp_path):
     gateway = ServingGateway.from_cube_file(
         cube_path, rides_tiny, config=ServingConfig(workers=2, queue_depth=16)
     )
-    ingestor = StreamIngestor(
-        gateway.tabula,
-        tmp_path / "ingest.wal",
-        tmp_path / "maintenance.journal",
-        config=IngestConfig(
-            max_queued_rows=3 * BATCH_ROWS,
-            flush_interval_seconds=0.002,
-            maintain_delay_seconds=0.005,
-            retry_after_seconds=0.01,
-        ),
-    )
-    gateway.attach_ingestor(ingestor)
-    try:
-        yield gateway, ingestor
-    finally:
-        ingestor.close(drain=False, timeout=10.0)
-        gateway.close()
+    # A maintainer that lags 5 ms before each apply.
+    with inject(Hang(FP_APPLY_START, seconds=0.005)):
+        ingestor = StreamIngestor(
+            gateway.tabula,
+            tmp_path / "ingest.wal",
+            tmp_path / "maintenance.journal",
+            config=IngestConfig(
+                max_queued_rows=3 * BATCH_ROWS,
+                flush_interval_seconds=0.002,
+                retry_after_seconds=0.01,
+            ),
+        )
+        gateway.attach_ingestor(ingestor)
+        try:
+            yield gateway, ingestor
+        finally:
+            ingestor.close(drain=False, timeout=10.0)
+            gateway.close()
 
 
 def test_stats_consistent_under_reload_plus_ingest(san, served):
@@ -140,8 +143,9 @@ def test_stats_consistent_under_reload_plus_ingest(san, served):
                     + counters["backpressured"]
                     + counters["rejected_closed"]
                 )
-                breaker = stats["breaker"]
-                assert breaker["window_failures"] <= breaker["window_calls"]
+                # One lock acquisition per disposal: a snapshot never
+                # counts an outcome that requests_total does not.
+                assert sum(stats["outcomes"].values()) <= stats["requests_total"]
                 time.sleep(0.002)
         except Exception as exc:
             errors.append(("poller", 0, exc))

@@ -14,6 +14,8 @@ from repro.core.loss import MeanLoss
 from repro.core.tabula import GuaranteeStatus, Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
 from repro.ingest import IngestConfig, ProgressiveFrame, StreamIngestor, progressive_query
+from repro.ingest.stream import FP_APPLY_START
+from repro.resilience.faults import Hang, inject
 from repro.serving.gateway import ServingGateway
 
 ATTRS = ("passenger_count", "payment_type")
@@ -42,33 +44,32 @@ class TestLaggingMaintainer:
         self, rides_tiny, tmp_path, delta
     ):
         gateway = ServingGateway(build(rides_tiny))
-        ingestor = StreamIngestor(
-            gateway.tabula,
-            tmp_path / "ingest.wal",
-            tmp_path / "maintenance.journal",
-            config=IngestConfig(
-                maintain_delay_seconds=0.05, flush_interval_seconds=0.002
-            ),
-        )
-        gateway.attach_ingestor(ingestor)
-        try:
-            for i in range(6):
-                result = ingestor.submit(
-                    delta.slice(i * 60, (i + 1) * 60), seed=40 + i
-                )
-                assert result.accepted
-            frames = list(
-                progressive_query(
-                    gateway,
-                    {"payment_type": "cash"},
-                    max_frames=10,
-                    poll_seconds=0.002,
-                    max_wait_seconds=30.0,
-                )
+        with inject(Hang(FP_APPLY_START, seconds=0.05)):
+            ingestor = StreamIngestor(
+                gateway.tabula,
+                tmp_path / "ingest.wal",
+                tmp_path / "maintenance.journal",
+                config=IngestConfig(flush_interval_seconds=0.002),
             )
-        finally:
-            ingestor.close(timeout=20.0)
-            gateway.close()
+            gateway.attach_ingestor(ingestor)
+            try:
+                for i in range(6):
+                    result = ingestor.submit(
+                        delta.slice(i * 60, (i + 1) * 60), seed=40 + i
+                    )
+                    assert result.accepted
+                frames = list(
+                    progressive_query(
+                        gateway,
+                        {"payment_type": "cash"},
+                        max_frames=10,
+                        poll_seconds=0.002,
+                        max_wait_seconds=30.0,
+                    )
+                )
+            finally:
+                ingestor.close(timeout=20.0)
+                gateway.close()
         assert frames[0].kind == "initial"
         assert frames[-1].kind == "final"
         refines = [f for f in frames if f.kind == "refine"]
@@ -90,29 +91,28 @@ class TestLaggingMaintainer:
         self, rides_tiny, tmp_path, delta
     ):
         gateway = ServingGateway(build(rides_tiny))
-        ingestor = StreamIngestor(
-            gateway.tabula,
-            tmp_path / "ingest.wal",
-            tmp_path / "maintenance.journal",
-            config=IngestConfig(
-                maintain_delay_seconds=0.02, flush_interval_seconds=0.002
-            ),
-        )
-        gateway.attach_ingestor(ingestor)
-        where = {"payment_type": "credit"}
-        try:
-            for i in range(4):
-                assert ingestor.submit(
-                    delta.slice(i * 60, (i + 1) * 60), seed=60 + i
-                ).accepted
-            frames = list(
-                progressive_query(gateway, where, max_wait_seconds=30.0)
+        with inject(Hang(FP_APPLY_START, seconds=0.02)):
+            ingestor = StreamIngestor(
+                gateway.tabula,
+                tmp_path / "ingest.wal",
+                tmp_path / "maintenance.journal",
+                config=IngestConfig(flush_interval_seconds=0.002),
             )
-            assert ingestor.wait_applied(timeout=20.0)
-            plain = gateway.query(where)
-        finally:
-            ingestor.close(timeout=20.0)
-            gateway.close()
+            gateway.attach_ingestor(ingestor)
+            where = {"payment_type": "credit"}
+            try:
+                for i in range(4):
+                    assert ingestor.submit(
+                        delta.slice(i * 60, (i + 1) * 60), seed=60 + i
+                    ).accepted
+                frames = list(
+                    progressive_query(gateway, where, max_wait_seconds=30.0)
+                )
+                assert ingestor.wait_applied(timeout=20.0)
+                plain = gateway.query(where)
+            finally:
+                ingestor.close(timeout=20.0)
+                gateway.close()
         final = frames[-1].response
         assert final.guarantee is plain.guarantee
         assert final.source == plain.source

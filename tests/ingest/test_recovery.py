@@ -140,6 +140,46 @@ class TestKillAtEveryPoint:
         assert fresh.table.num_rows == ref_rows
         assert fresh.store.content_digest() == ref_digest
 
+    def test_second_restart_after_a_deduplicated_resubmit(
+        self, rides_tiny, delta, tmp_path
+    ):
+        """A client retry that the ingestor deduplicates is still logged
+        in the WAL; the next restart must count it once, not as rows."""
+        batches = 3
+        expected = build(rides_tiny)
+        for i in range(batches):
+            append_rows(expected, batch(delta, i), seed=seed_of(i))
+        wal_path = tmp_path / "ingest.wal"
+        journal_path = tmp_path / "maintenance.journal"
+        live = StreamIngestor(build(rides_tiny), wal_path, journal_path)
+        for i in range(batches):
+            assert live.submit(batch(delta, i), seed=seed_of(i)).accepted
+        assert live.wait_applied(timeout=20.0)
+        live.close(timeout=10.0)
+
+        # First restart; the client re-submits its whole session.
+        first = build(rides_tiny)
+        recover_ingest(first, wal_path, journal_path)
+        restarted = StreamIngestor(first, wal_path, journal_path)
+        for i in range(batches):
+            assert restarted.submit(batch(delta, i), seed=seed_of(i)).accepted
+        assert restarted.wait_applied(timeout=20.0)
+        restarted.close(timeout=10.0)
+        assert restarted.stats()["counters"]["deduplicated_batches"] == batches
+
+        # Second restart over a WAL that holds every batch twice.
+        second = build(rides_tiny)
+        recovery = recover_ingest(second, wal_path, journal_path)
+        assert recovery.reapplied_batches + recovery.replayed_plans == batches
+        assert recovery.skipped_batches == batches
+        assert second.table.num_rows == expected.table.num_rows
+        assert second.store.content_digest() == expected.store.content_digest()
+        again = recover_ingest(second, wal_path, journal_path)
+        assert again.reapplied_batches == again.replayed_plans == 0
+        assert again.skipped_batches == 2 * batches
+        assert second.table.num_rows == expected.table.num_rows
+        assert second.store.content_digest() == expected.store.content_digest()
+
     def test_wrong_cube_for_logs_is_loud(self, rides_tiny, delta, tmp_path):
         """A cube that is not on the WAL's batch-boundary ladder is a
         typed error, not a silent mis-merge."""

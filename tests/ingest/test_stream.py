@@ -15,6 +15,8 @@ from repro.core.tabula import Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
 from repro.errors import TabulaError
 from repro.ingest import IngestConfig, IngestOutcome, StreamIngestor
+from repro.ingest.stream import FP_APPLY_START
+from repro.resilience.faults import Hang, inject
 
 ATTRS = ("passenger_count", "payment_type")
 
@@ -84,55 +86,56 @@ class TestBackpressure:
         self, rides_tiny, tmp_path, delta
     ):
         tabula = build(rides_tiny)
-        ingestor = StreamIngestor(
-            tabula,
-            tmp_path / "bp.wal",
-            tmp_path / "bp.journal",
-            config=IngestConfig(
-                max_queued_rows=50,
-                maintain_delay_seconds=0.5,
-                retry_after_seconds=0.02,
-            ),
-        )
-        try:
-            first = ingestor.submit(delta.slice(0, 50), wait_durable=False)
-            assert first.accepted
-            second = ingestor.submit(delta.slice(50, 100), wait_durable=False)
-            assert second.outcome is IngestOutcome.BACKPRESSURE
-            assert second.retry_after_seconds == pytest.approx(0.02)
-            assert second.queued_rows <= 50
-            assert "retry" in second.detail
-            stats = ingestor.stats()
-            assert stats["counters"]["offered"] == 2
-            assert stats["counters"]["accepted"] == 1
-            assert stats["counters"]["backpressured"] == 1
-            # The backpressured rows were NOT buffered anywhere.
-            assert ingestor.watermarks()["queued_rows"] <= 50
-            # Retrying after the maintainer drains eventually lands.
-            assert ingestor.wait_applied(timeout=10.0)
-            retry = ingestor.submit(delta.slice(50, 100), wait_durable=False)
-            assert retry.accepted
-        finally:
-            ingestor.close(timeout=10.0)
+        # A maintainer that lags 0.5 s before each apply.
+        with inject(Hang(FP_APPLY_START, seconds=0.5)):
+            ingestor = StreamIngestor(
+                tabula,
+                tmp_path / "bp.wal",
+                tmp_path / "bp.journal",
+                config=IngestConfig(
+                    max_queued_rows=50,
+                    retry_after_seconds=0.02,
+                ),
+            )
+            try:
+                first = ingestor.submit(delta.slice(0, 50), wait_durable=False)
+                assert first.accepted
+                second = ingestor.submit(delta.slice(50, 100), wait_durable=False)
+                assert second.outcome is IngestOutcome.BACKPRESSURE
+                assert second.retry_after_seconds == pytest.approx(0.02)
+                assert second.queued_rows <= 50
+                assert "retry" in second.detail
+                stats = ingestor.stats()
+                assert stats["counters"]["offered"] == 2
+                assert stats["counters"]["accepted"] == 1
+                assert stats["counters"]["backpressured"] == 1
+                # The backpressured rows were NOT buffered anywhere.
+                assert ingestor.watermarks()["queued_rows"] <= 50
+                # Retrying after the maintainer drains eventually lands.
+                assert ingestor.wait_applied(timeout=10.0)
+                retry = ingestor.submit(delta.slice(50, 100), wait_durable=False)
+                assert retry.accepted
+            finally:
+                ingestor.close(timeout=10.0)
 
     def test_staleness_is_visible_while_maintainer_lags(
         self, rides_tiny, tmp_path, delta
     ):
         tabula = build(rides_tiny)
-        ingestor = StreamIngestor(
-            tabula,
-            tmp_path / "lag.wal",
-            tmp_path / "lag.journal",
-            config=IngestConfig(maintain_delay_seconds=0.2),
-        )
-        try:
-            ingestor.submit(delta.slice(0, 40), seed=1)
-            ingestor.submit(delta.slice(40, 80), seed=2)
-            assert ingestor.staleness_batches() >= 1
-            assert ingestor.wait_applied(timeout=10.0)
-            assert ingestor.staleness_batches() == 0
-        finally:
-            ingestor.close(timeout=10.0)
+        with inject(Hang(FP_APPLY_START, seconds=0.2)):
+            ingestor = StreamIngestor(
+                tabula,
+                tmp_path / "lag.wal",
+                tmp_path / "lag.journal",
+            )
+            try:
+                ingestor.submit(delta.slice(0, 40), seed=1)
+                ingestor.submit(delta.slice(40, 80), seed=2)
+                assert ingestor.staleness_batches() >= 1
+                assert ingestor.wait_applied(timeout=10.0)
+                assert ingestor.staleness_batches() == 0
+            finally:
+                ingestor.close(timeout=10.0)
 
 
 class TestConcurrentWriters:
@@ -178,15 +181,15 @@ class TestConcurrentWriters:
     def test_close_drains_queued_batches(self, rides_tiny, tmp_path, delta):
         tabula = build(rides_tiny)
         before = tabula.table.num_rows
-        ingestor = StreamIngestor(
-            tabula,
-            tmp_path / "drain.wal",
-            tmp_path / "drain.journal",
-            config=IngestConfig(maintain_delay_seconds=0.05),
-        )
-        for i in range(4):
-            ingestor.submit(delta.slice(i * 30, (i + 1) * 30), wait_durable=False)
-        ingestor.close(drain=True, timeout=20.0)
+        with inject(Hang(FP_APPLY_START, seconds=0.05)):
+            ingestor = StreamIngestor(
+                tabula,
+                tmp_path / "drain.wal",
+                tmp_path / "drain.journal",
+            )
+            for i in range(4):
+                ingestor.submit(delta.slice(i * 30, (i + 1) * 30), wait_durable=False)
+            ingestor.close(drain=True, timeout=20.0)
         assert tabula.table.num_rows == before + 120
         marks = ingestor.watermarks()
         assert marks["applied_seq"] == marks["durable_seq"] == 4

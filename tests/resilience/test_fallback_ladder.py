@@ -1,17 +1,17 @@
 """Fallback-ladder behavior under injected raw-backend faults.
 
-Satellite coverage for the degraded-cell query path: when the raw-table
-rung is slow (``SlowIO``) or failing (``IOFault``), the
+Satellite coverage for the degraded-cell query path: rebind (re-verify
+a surviving representative with one raw scan of the cell) → global
+sample → ``VOID``. When the rebind's raw scan fails (``IOFault``), the
 :class:`GuaranteeStatus` must degrade *monotonically* — never report
-CERTIFIED after a failed fallback — and deadlines must cut the
-expensive rungs off rather than stall the dashboard.
+CERTIFIED after a failed fallback — and an expired deadline must refuse
+the query rather than stall the dashboard.
 """
 
 import pytest
 
 from repro.core.loss import MeanLoss
 from repro.core.tabula import (
-    FP_RAW_SCAN,
     FP_REBIND_SCAN,
     GuaranteeStatus,
     Tabula,
@@ -19,7 +19,7 @@ from repro.core.tabula import (
 )
 from repro.errors import DeadlineExceeded
 from repro.resilience.deadline import Deadline
-from repro.resilience.faults import IOFault, SlowIO, inject
+from repro.resilience.faults import IOFault, inject
 
 ATTRS = ("passenger_count", "payment_type")
 
@@ -27,13 +27,7 @@ pytestmark = pytest.mark.faults
 
 
 def build_tabula(table, **overrides):
-    config = dict(
-        cubed_attrs=ATTRS,
-        threshold=0.1,
-        loss=MeanLoss("fare_amount"),
-        degraded_rebind=False,
-        degraded_fallback="raw",
-    )
+    config = dict(cubed_attrs=ATTRS, threshold=0.1, loss=MeanLoss("fare_amount"))
     config.update(overrides)
     tabula = Tabula(table, TabulaConfig(**config))
     tabula.initialize()
@@ -43,7 +37,7 @@ def build_tabula(table, **overrides):
 def degrade_one_cell(tabula):
     cell = next(iter(tabula.store._cell_to_sample_id))
     tabula.store.mark_degraded(cell, "injected test degradation")
-    return {a: v for a, v in zip(ATTRS, cell) if v is not None}
+    return cell, {a: v for a, v in zip(ATTRS, cell) if v is not None}
 
 
 class FakeClock:
@@ -60,27 +54,27 @@ class FakeClock:
 class TestIOFaultOnRawRung:
     def test_raw_failure_degrades_to_global_never_certified(self, rides_tiny):
         tabula = build_tabula(rides_tiny)
-        where = degrade_one_cell(tabula)
-        with inject(IOFault(FP_RAW_SCAN)) as handle:
+        _, where = degrade_one_cell(tabula)
+        with inject(IOFault(FP_REBIND_SCAN)) as handle:
             result = tabula.query(where)
-        assert handle.tripped(FP_RAW_SCAN)
+        assert handle.tripped(FP_REBIND_SCAN)
         assert result.guarantee is GuaranteeStatus.DOWNGRADED
         assert result.source == "global"
-        assert "raw-scan fallback failed" in result.detail
 
     def test_degradation_is_monotone_across_the_ladder(self, rides_tiny):
-        """Healthy raw rung: CERTIFIED. Failed raw rung: strictly worse,
-        and repeating the failure never climbs back to CERTIFIED."""
+        """Healthy rebind: CERTIFIED. Failed rebind: strictly worse, and
+        repeating the failure never climbs back to CERTIFIED."""
         tabula = build_tabula(rides_tiny)
-        where = degrade_one_cell(tabula)
+        cell, where = degrade_one_cell(tabula)
 
         healthy = tabula.query(where)
-        assert healthy.guarantee is GuaranteeStatus.CERTIFIED  # raw scan
-        assert healthy.source == "raw"
+        assert healthy.guarantee is GuaranteeStatus.CERTIFIED
+        assert healthy.source == "representative"
 
         ranks = [healthy.guarantee.rank]
         for attempt in range(3):
-            with inject(IOFault(FP_RAW_SCAN)):
+            tabula.store.mark_degraded(cell, "injected test degradation")
+            with inject(IOFault(FP_REBIND_SCAN)):
                 result = tabula.query(where)
             assert result.guarantee is not GuaranteeStatus.CERTIFIED
             ranks.append(result.guarantee.rank)
@@ -91,108 +85,39 @@ class TestIOFaultOnRawRung:
 
     def test_rebind_scan_failure_is_tolerated(self, rides_tiny):
         """An OSError while re-verifying a representative must not
-        abort the query: the ladder records it and keeps descending."""
-        tabula = build_tabula(rides_tiny, degraded_rebind=True)
-        where = degrade_one_cell(tabula)
+        abort the query: the ladder records it, keeps descending, and
+        leaves the cell degraded for a later, healthy rebind."""
+        tabula = build_tabula(rides_tiny)
+        cell, where = degrade_one_cell(tabula)
         with inject(IOFault(FP_REBIND_SCAN)) as handle:
             result = tabula.query(where)
         assert handle.tripped(FP_REBIND_SCAN)
-        # Raw rung still healthy, so the answer is exact — but the
-        # failed rebind is on record.
-        assert result.guarantee is GuaranteeStatus.CERTIFIED
-        assert result.source == "raw"
-
-    def test_both_scans_failing_still_answers_from_global(self, rides_tiny):
-        tabula = build_tabula(rides_tiny, degraded_rebind=True)
-        where = degrade_one_cell(tabula)
-        with inject(IOFault(FP_REBIND_SCAN), IOFault(FP_RAW_SCAN)):
-            result = tabula.query(where)
-        assert result.guarantee is GuaranteeStatus.DOWNGRADED
-        assert result.source == "global"
         assert "rebind scan failed" in result.detail
-        assert "raw-scan fallback failed" in result.detail
+        assert tabula.store.is_degraded(cell)
+
+        healed = tabula.query(where)
+        assert healed.guarantee is GuaranteeStatus.CERTIFIED
+        assert healed.source == "representative"
+        assert not tabula.store.is_degraded(cell)
 
 
 class TestDeadlineOnRawRung:
-    def test_slow_raw_scan_is_cut_off_mid_flight(self, rides_tiny):
-        """SlowIO stalls the raw rung past the budget (fake clock): the
-        scan is abandoned and the global sample answers instead."""
-        clock = FakeClock()
-        tabula = build_tabula(rides_tiny)
-        where = degrade_one_cell(tabula)
-        deadline = Deadline.after(1.0, clock=clock)
-        slow = SlowIO(FP_RAW_SCAN, sleep=lambda _: clock.advance(5.0))
-        with inject(slow) as handle:
-            result = tabula.query(where, deadline=deadline)
-        assert handle.tripped(FP_RAW_SCAN)
-        assert result.guarantee is GuaranteeStatus.DOWNGRADED
-        assert result.source == "global"
-        assert "cut off mid-flight" in result.detail
-
     def test_expired_deadline_skips_raw_rung_entirely(self, rides_tiny):
         clock = FakeClock()
         tabula = build_tabula(rides_tiny)
-        where = degrade_one_cell(tabula)
+        _, where = degrade_one_cell(tabula)
         deadline = Deadline.after(1.0, clock=clock)
         clock.advance(2.0)  # expired before the ladder runs
         # An expired deadline raises before the cube lookup: the query
         # path refuses to do *any* work past the budget.
-        with pytest.raises(DeadlineExceeded):
-            tabula.query(where, deadline=deadline)
+        with inject(IOFault(FP_REBIND_SCAN)) as handle:
+            with pytest.raises(DeadlineExceeded):
+                tabula.query(where, deadline=deadline)
+        assert handle.hits(FP_REBIND_SCAN) == 0
 
     def test_generous_deadline_changes_nothing(self, rides_tiny):
         tabula = build_tabula(rides_tiny)
-        where = degrade_one_cell(tabula)
+        _, where = degrade_one_cell(tabula)
         result = tabula.query(where, deadline=Deadline.after(60.0))
         assert result.guarantee is GuaranteeStatus.CERTIFIED
-        assert result.source == "raw"
-
-
-class TestRawPolicy:
-    class DenyAll:
-        def __init__(self):
-            self.denied = 0
-
-        def allow(self):
-            self.denied += 1
-            return False
-
-        def record_success(self):  # pragma: no cover - never called
-            raise AssertionError("blocked rung must not report outcomes")
-
-        def record_failure(self):  # pragma: no cover - never called
-            raise AssertionError("blocked rung must not report outcomes")
-
-    def test_denying_policy_marks_raw_blocked(self, rides_tiny):
-        tabula = build_tabula(rides_tiny)
-        where = degrade_one_cell(tabula)
-        policy = self.DenyAll()
-        result = tabula.query(where, raw_policy=policy)
-        assert policy.denied == 1
-        assert result.raw_blocked
-        assert result.guarantee is GuaranteeStatus.DOWNGRADED
-        assert result.source == "global"
-
-    def test_policy_outcomes_are_recorded(self, rides_tiny):
-        class Recorder:
-            def __init__(self):
-                self.successes = 0
-                self.failures = 0
-
-            def allow(self):
-                return True
-
-            def record_success(self):
-                self.successes += 1
-
-            def record_failure(self):
-                self.failures += 1
-
-        tabula = build_tabula(rides_tiny)
-        where = degrade_one_cell(tabula)
-        policy = Recorder()
-        tabula.query(where, raw_policy=policy)
-        assert (policy.successes, policy.failures) == (1, 0)
-        with inject(IOFault(FP_RAW_SCAN)):
-            tabula.query(where, raw_policy=policy)
-        assert (policy.successes, policy.failures) == (1, 1)
+        assert result.source == "representative"

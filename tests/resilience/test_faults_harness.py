@@ -1,6 +1,7 @@
 """Unit tests for the deterministic fault-injection harness itself."""
 
 import json
+import threading
 
 import pytest
 
@@ -20,6 +21,14 @@ from repro.resilience.faults import (
     inject,
     register_fault_point,
     registered_fault_points,
+)
+from repro.serving import ServingConfig, ServingGateway
+from repro.serving.gateway import FP_EXECUTE
+from tests.serving.test_gateway import (
+    build_tabula,
+    iceberg_query,
+    stalled_workers,
+    wait_until,
 )
 
 POINT = register_fault_point("test.harness.point", "used by the harness tests")
@@ -139,6 +148,72 @@ class TestInjection:
             fault_point(POINT)
             assert handle.tripped(POINT)
         assert slept == [7.0, 7.0, 7.0]
+
+
+class TestConcurrentHits:
+    """Every armed spec counts a hit before any spec acts on it."""
+
+    def test_two_slow_specs_park_two_concurrent_callers(self):
+        release = threading.Event()
+        parked = []
+        lock = threading.Lock()
+
+        def park(_):
+            with lock:
+                parked.append(threading.current_thread().name)
+            release.wait(timeout=10.0)
+
+        specs = [SlowIO(POINT, at=n, sleep=park) for n in (1, 2)]
+        with inject(*specs) as handle:
+            callers = [
+                threading.Thread(target=fault_point, args=(POINT,), name=f"caller-{n}")
+                for n in (1, 2)
+            ]
+            try:
+                for caller in callers:
+                    caller.start()
+                assert wait_until(lambda: len(parked) == 2), parked
+                assert handle.hits(POINT) == 2
+            finally:
+                release.set()
+                for caller in callers:
+                    caller.join(timeout=10.0)
+            assert not any(caller.is_alive() for caller in callers)
+            fault_point(POINT)  # a third hit passes through
+            assert handle.hits(POINT) == 3
+        assert sorted(parked) == ["caller-1", "caller-2"]
+
+    def test_a_raising_spec_does_not_hide_the_hit_from_later_specs(self):
+        with inject(IOFault(POINT, at=1), IOFault(POINT, at=2)) as handle:
+            with pytest.raises(InjectedIOError):
+                fault_point(POINT)
+            with pytest.raises(InjectedIOError):
+                fault_point(POINT)
+            fault_point(POINT)
+            assert handle.hits(POINT) == 3
+
+    def test_stalled_workers_parks_two_gateway_requests(self, rides_tiny):
+        """``stalled_workers(count=2)`` holds both execution slots, so
+        two more callers wait (``queued_now`` reaches 2)."""
+        tabula = build_tabula(rides_tiny)
+        _, where = iceberg_query(tabula)
+        gateway = ServingGateway(tabula, config=ServingConfig(workers=2, queue_depth=2))
+        callers = [threading.Thread(target=gateway.query, args=(where,)) for _ in range(4)]
+        try:
+            with stalled_workers(count=2) as (release, handle):
+                for caller in callers[:2]:
+                    caller.start()
+                assert wait_until(lambda: handle.hits(FP_EXECUTE) == 2)
+                for caller in callers[2:]:
+                    caller.start()
+                assert wait_until(lambda: gateway.stats()["queued_now"] == 2)
+                release.set()
+                for caller in callers:
+                    caller.join(timeout=10.0)
+            assert not any(caller.is_alive() for caller in callers)
+            assert gateway.stats()["outcomes"]["ok"] == 4
+        finally:
+            gateway.close()
 
 
 class TestCrossProcessEncoding:

@@ -2,8 +2,8 @@
 
 The acceptance scenarios of the serving layer: an overloaded gateway
 sheds instead of queueing unboundedly, deadlines cut requests off
-within one scheduling quantum, an open circuit answers from the sample
-rungs without blocking, and hot reload against a corrupted file rolls
+within one scheduling quantum, a degraded cell whose rebind fails is
+never reported CERTIFIED, and hot reload against a corrupted file rolls
 back with the old cube still serving.
 """
 
@@ -17,14 +17,14 @@ import pytest
 
 from repro.core.loss import MeanLoss
 from repro.core.persistence import save_cube
-from repro.core.tabula import GuaranteeStatus, Tabula, TabulaConfig
+from repro.core.tabula import FP_REBIND_SCAN, GuaranteeStatus, Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
 from repro.engine.column import Column
 from repro.engine.cube import CubeCells
 from repro.engine.table import Table
 from repro.ingest import StreamIngestor
 from repro.resilience.faults import CrashPoint, IOFault, InjectedCrash, SlowIO, inject
-from repro.serving import BreakerConfig, BreakerState, ServingConfig, ServingGateway, ServingOutcome
+from repro.serving import ServingConfig, ServingGateway, ServingOutcome
 from repro.serving.gateway import FP_EXECUTE, FP_RELOAD_SWAP
 
 ATTRS = ("passenger_count", "payment_type")
@@ -190,77 +190,23 @@ class TestDeadlines:
 
 
 class TestCircuitBreaker:
-    def _degraded_gateway(self, table, **breaker_overrides):
-        """A gateway over a cube with one degraded cell whose fallback
-        ladder tries the raw rung first."""
-        tabula = build_tabula(
-            table, degraded_fallback="raw", degraded_rebind=False
-        )
+    def test_never_certified_after_failed_fallback(self, rides_tiny):
+        """A degraded cell whose rebind scan fails answers DEGRADED from
+        the global sample, and keeps doing so while the fault lasts."""
+        tabula = build_tabula(rides_tiny)
         cell, where = iceberg_query(tabula)
         tabula.store.mark_degraded(cell, "sample lost in test")
-        breaker = dict(
-            failure_threshold=0.5, window=4, min_calls=1, cooldown_seconds=60.0
-        )
-        breaker.update(breaker_overrides)
-        gateway = ServingGateway(
-            tabula,
-            config=ServingConfig(workers=1, breaker=BreakerConfig(**breaker)),
-        )
-        return gateway, where
-
-    def test_open_circuit_answers_from_samples_without_blocking(self, rides_tiny):
-        from repro.core.tabula import FP_RAW_SCAN
-
-        gateway, where = self._degraded_gateway(rides_tiny)
+        gateway = ServingGateway(tabula, config=ServingConfig(workers=1))
         try:
-            # One injected raw-backend failure trips the breaker
-            # (min_calls=1, threshold 50%).
-            with inject(IOFault(FP_RAW_SCAN)):
-                first = gateway.query(where)
-            assert first.outcome is ServingOutcome.DEGRADED
-            assert first.guarantee is GuaranteeStatus.DOWNGRADED
-            assert gateway.breaker.state is BreakerState.OPEN
-
-            # Circuit open: the raw rung is refused outright — the query
-            # answers from the global sample, fast, flagged CIRCUIT_OPEN.
-            started = time.perf_counter()
-            second = gateway.query(where)
-            elapsed = time.perf_counter() - started
-            assert second.outcome is ServingOutcome.CIRCUIT_OPEN
-            assert second.guarantee is GuaranteeStatus.DOWNGRADED
-            assert second.source == "global"
-            assert second.sample is not None
-            assert elapsed < 0.5  # answered, not blocked on the backend
-            assert "circuit open" in second.detail
-        finally:
-            gateway.close()
-
-    def test_never_certified_after_failed_fallback(self, rides_tiny):
-        from repro.core.tabula import FP_RAW_SCAN
-
-        gateway, where = self._degraded_gateway(rides_tiny)
-        try:
-            with inject(IOFault(FP_RAW_SCAN)):
-                response = gateway.query(where)
-            assert response.guarantee is not GuaranteeStatus.CERTIFIED
-            for _ in range(3):  # breaker now open: still never CERTIFIED
-                assert (
-                    gateway.query(where).guarantee is not GuaranteeStatus.CERTIFIED
-                )
-        finally:
-            gateway.close()
-
-    def test_breaker_state_reported_in_stats(self, rides_tiny):
-        from repro.core.tabula import FP_RAW_SCAN
-
-        gateway, where = self._degraded_gateway(rides_tiny)
-        try:
-            with inject(IOFault(FP_RAW_SCAN)):
-                gateway.query(where)
-            gateway.query(where)
-            stats = gateway.stats()
-            assert stats["breaker"]["state"] == "open"
-            assert stats["outcomes"]["circuit_open"] == 1
+            # The backend fails on each of the three rebind scans.
+            faults = [IOFault(FP_REBIND_SCAN, at=n) for n in (1, 2, 3)]
+            with inject(*faults) as handle:
+                for _ in range(3):
+                    response = gateway.query(where)
+                    assert response.outcome is ServingOutcome.DEGRADED
+                    assert response.guarantee is not GuaranteeStatus.CERTIFIED
+                    assert response.source == "global"
+            assert handle.hits(FP_REBIND_SCAN) == 3
         finally:
             gateway.close()
 

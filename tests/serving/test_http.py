@@ -137,7 +137,7 @@ class TestHealthAndStats:
         ))
         status, stats = get_json(f"{base}/stats")
         assert status == 200
-        for key in ("requests_total", "outcomes", "breaker", "latency_seconds",
+        for key in ("requests_total", "outcomes", "latency_seconds",
                     "generation", "queue_depth", "reloads"):
             assert key in stats
         assert stats["requests_total"] >= 1

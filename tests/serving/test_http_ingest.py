@@ -19,6 +19,8 @@ from repro.core.loss import MeanLoss
 from repro.core.tabula import Tabula, TabulaConfig
 from repro.data import generate_nyctaxi
 from repro.ingest import IngestConfig, StreamIngestor
+from repro.ingest.stream import FP_APPLY_START
+from repro.resilience.faults import Hang, inject
 from repro.serving import ServingConfig, ServingGateway
 from repro.serving.http import make_server
 from tests.serving.conftest import post_raw
@@ -129,32 +131,33 @@ class TestIngestRoute:
 
     def test_backpressure_is_503_with_retry_after(self, rides_tiny, tmp_path, delta):
         gateway = ServingGateway(build_tabula(rides_tiny))
-        ingestor = StreamIngestor(
-            gateway.tabula,
-            tmp_path / "bp.wal",
-            tmp_path / "bp.journal",
-            config=IngestConfig(max_queued_rows=20, maintain_delay_seconds=0.5),
-        )
-        gateway.attach_ingestor(ingestor)
-        server, base = _serve(gateway)
-        try:
-            post_json(
-                base + "/ingest",
-                {"rows": delta.slice(0, 20).to_pydict(), "wait_durable": False},
+        with inject(Hang(FP_APPLY_START, seconds=0.5)):
+            ingestor = StreamIngestor(
+                gateway.tabula,
+                tmp_path / "bp.wal",
+                tmp_path / "bp.journal",
+                config=IngestConfig(max_queued_rows=20),
             )
-            status, headers, body = post_json(
-                base + "/ingest",
-                {"rows": delta.slice(20, 40).to_pydict(), "wait_durable": False},
-            )
-            assert status == 503
-            assert body["outcome"] == "backpressure"
-            assert int(headers["Retry-After"]) >= 1
-            assert body["retry_after_seconds"] > 0
-        finally:
-            server.shutdown()
-            server.server_close()
-            ingestor.close(drain=False, timeout=5.0)
-            gateway.close()
+            gateway.attach_ingestor(ingestor)
+            server, base = _serve(gateway)
+            try:
+                post_json(
+                    base + "/ingest",
+                    {"rows": delta.slice(0, 20).to_pydict(), "wait_durable": False},
+                )
+                status, headers, body = post_json(
+                    base + "/ingest",
+                    {"rows": delta.slice(20, 40).to_pydict(), "wait_durable": False},
+                )
+                assert status == 503
+                assert body["outcome"] == "backpressure"
+                assert int(headers["Retry-After"]) >= 1
+                assert body["retry_after_seconds"] > 0
+            finally:
+                server.shutdown()
+                server.server_close()
+                ingestor.close(drain=False, timeout=5.0)
+                gateway.close()
 
     def test_closed_pipeline_is_503_without_retry_after(
         self, served_ingest, delta
@@ -251,29 +254,28 @@ class TestProgressiveSSE:
         self, rides_tiny, tmp_path, delta
     ):
         gateway = ServingGateway(build_tabula(rides_tiny))
-        ingestor = StreamIngestor(
-            gateway.tabula,
-            tmp_path / "sse.wal",
-            tmp_path / "sse.journal",
-            config=IngestConfig(
-                maintain_delay_seconds=0.05, flush_interval_seconds=0.002
-            ),
-        )
-        gateway.attach_ingestor(ingestor)
-        server, base = _serve(gateway)
-        try:
-            for i in range(5):
-                post_json(
-                    base + "/ingest",
-                    {"rows": delta.slice(i * 60, (i + 1) * 60).to_pydict(),
-                     "seed": 20 + i},
-                )
-            frames = sse_frames(base + "/query?payment_type=cash&progressive=1")
-        finally:
-            server.shutdown()
-            server.server_close()
-            ingestor.close(timeout=20.0)
-            gateway.close()
+        with inject(Hang(FP_APPLY_START, seconds=0.05)):
+            ingestor = StreamIngestor(
+                gateway.tabula,
+                tmp_path / "sse.wal",
+                tmp_path / "sse.journal",
+                config=IngestConfig(flush_interval_seconds=0.002),
+            )
+            gateway.attach_ingestor(ingestor)
+            server, base = _serve(gateway)
+            try:
+                for i in range(5):
+                    post_json(
+                        base + "/ingest",
+                        {"rows": delta.slice(i * 60, (i + 1) * 60).to_pydict(),
+                         "seed": 20 + i},
+                    )
+                frames = sse_frames(base + "/query?payment_type=cash&progressive=1")
+            finally:
+                server.shutdown()
+                server.server_close()
+                ingestor.close(timeout=20.0)
+                gateway.close()
         assert frames[0]["kind"] == "initial"
         assert frames[-1]["kind"] == "final"
         assert len(frames) >= 3  # at least one refinement in between

@@ -128,15 +128,12 @@ class TestSpawnAndProbe:
         assert h.supervisor.up_shards() == [0, 1, 2]
         assert h.supervisor.endpoint(1) == ("127.0.0.1", 50001)
 
-    def test_probe_success_records_generation_and_breaker(self):
+    def test_probe_success_records_generation(self):
         h = Harness(num_shards=1)
-        h.probe_replies[0] = [
-            {"ok": True, "generation": 7, "breaker": {"state": "closed"}}
-        ]
+        h.probe_replies[0] = [{"ok": True, "generation": 7}]
         h.supervisor.poll_once()
         health = h.supervisor.health()[0]
         assert health["generation"] == 7
-        assert health["breaker"] == {"state": "closed"}
         assert health["probe_misses"] == 0
 
     def test_probe_miss_then_success_resets_counter(self):
